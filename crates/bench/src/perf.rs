@@ -26,10 +26,14 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use rein_core::{eval_classifier, run_repair, DetectorHarness, Scenario, VersionTable};
+use rein_core::{
+    eval_classifier, run_repair, scenario_split, DetectorHarness, Scenario, VersionTable,
+};
 use rein_datasets::{DatasetId, GeneratedDataset, Params};
 use rein_detect::DetectorKind;
-use rein_ml::model::ClassifierKind;
+use rein_ml::encode::{Encoder, LabelMap, ParsedTables};
+use rein_ml::model::{Classifier, ClassifierKind};
+use rein_ml::tree::{DecisionTreeClassifier, TreeParams};
 use rein_repair::RepairKind;
 use rein_stats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
 use rein_telemetry::perf::{self, SpanPathStat};
@@ -176,14 +180,10 @@ impl BenchReport {
         serde_json::from_str(json).map_err(|e| e.to_string())
     }
 
-    /// Writes the report to `path`, creating parent directories.
+    /// Atomically writes the report to `path`, creating parent
+    /// directories.
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_json() + "\n")
+        rein_telemetry::atomic_write(path, (self.to_json() + "\n").as_bytes())
     }
 
     /// Loads a report from `path`.
@@ -234,6 +234,9 @@ pub fn next_bench_path(dir: &Path) -> PathBuf {
     dir.join("BENCH_overflow.json")
 }
 
+/// A benchmark's timed body.
+type BenchFn = Box<dyn Fn(&GeneratedDataset, u64)>;
+
 /// One macro-benchmark: a seeded workload over a pre-generated dataset.
 /// Dataset generation happens once, outside the timed region; the
 /// closure re-runs the workload itself on every repeat.
@@ -241,7 +244,9 @@ struct MacroBench {
     id: &'static str,
     ds: GeneratedDataset,
     seed: u64,
-    run: fn(&GeneratedDataset, u64),
+    /// The timed body; inputs it needs beyond `ds` are prepared when the
+    /// suite is built, outside the timed region.
+    run: BenchFn,
 }
 
 fn bench_detector(kind: DetectorKind) -> fn(&GeneratedDataset, u64) {
@@ -276,6 +281,40 @@ fn bench_ml_fit(ds: &GeneratedDataset, seed: u64) {
     eval_classifier(Scenario::S1, ds, &version, ClassifierKind::DecisionTree, 1, seed);
 }
 
+/// One decision-tree fit on the S1 training matrix of a Beers eval
+/// repeat: the model-fit kernel the grid's evaluation layer runs
+/// thousands of times per pass. The matrix is encoded here, once.
+fn bench_tree_fit(ds: &GeneratedDataset, seed: u64) -> BenchFn {
+    // audit:allow(panic, Beers is a classification dataset with a label column)
+    let label = ds.clean.schema().label_index().expect("classification dataset");
+    let features = ds.clean.schema().feature_indices();
+    let version = VersionTable::identity(ds.dirty.clone());
+    let split = scenario_split(Scenario::S1, ds, &version, 0.25, seed);
+    let labels = LabelMap::fit([&ds.clean, &version.table], label);
+    let parsed = ParsedTables::new(&[&version.table], &features);
+    let encoder = Encoder::fit_rows(&parsed, 0, &split.train.rows);
+    let (rows, y): (Vec<usize>, Vec<usize>) = split
+        .train
+        .rows
+        .iter()
+        .filter_map(|&r| labels.id_of(version.table.cell(r, label)).map(|id| (r, id)))
+        .unzip();
+    let x = encoder.transform_rows(&parsed, 0, &rows);
+    let n_classes = labels.n_classes();
+    Box::new(move |_, _| {
+        DecisionTreeClassifier::new(TreeParams::default()).fit(&x, &y, n_classes);
+    })
+}
+
+/// One 10-repeat `eval_classifier` call (decision tree, S1) on Beers —
+/// one evaluation cell of the paper's protocol.
+fn bench_eval_classifier(ds: &GeneratedDataset) -> BenchFn {
+    let version = VersionTable::identity(ds.dirty.clone());
+    Box::new(move |ds, seed| {
+        eval_classifier(Scenario::S1, ds, &version, ClassifierKind::DecisionTree, 10, seed);
+    })
+}
+
 fn bench_e2e_s1(ds: &GeneratedDataset, seed: u64) {
     // The full pipeline of the paper's S1 evaluation: detect with an
     // ensemble detector, repair the flagged cells, fit and score a model
@@ -288,57 +327,68 @@ fn bench_e2e_s1(ds: &GeneratedDataset, seed: u64) {
     }
 }
 
-/// The fixed suite: representative detectors, repairs, one ML fit and
-/// one end-to-end S1 scenario. Ids are stable across PRs — the
-/// comparator matches on them.
+/// The fixed suite: representative detectors, repairs, the tree-fit and
+/// evaluation kernels, one ML fit and one end-to-end S1 scenario. Ids are
+/// stable across PRs — the comparator matches on them.
 fn suite(scale: f64, seed: u64) -> Vec<MacroBench> {
     let ds_of = |id: DatasetId, stream: u64| {
         id.generate(&Params::scaled(scale, rein_data::rng::derive_seed(seed, stream)))
     };
+    let tree_ds = ds_of(DatasetId::Beers, 10);
+    let tree_fit = bench_tree_fit(&tree_ds, seed);
+    let eval_ds = ds_of(DatasetId::Beers, 11);
+    let eval = bench_eval_classifier(&eval_ds);
     vec![
+        MacroBench { id: "ml/tree_fit_beers", ds: tree_ds, seed, run: tree_fit },
+        MacroBench { id: "eval/classifier_beers", ds: eval_ds, seed, run: eval },
         MacroBench {
             id: "detect/mv_detector/beers",
             ds: ds_of(DatasetId::Beers, 1),
             seed,
-            run: bench_detector(DetectorKind::MvDetector),
+            run: Box::new(bench_detector(DetectorKind::MvDetector)),
         },
         MacroBench {
             id: "detect/sd/nasa",
             ds: ds_of(DatasetId::Nasa, 2),
             seed,
-            run: bench_detector(DetectorKind::Sd),
+            run: Box::new(bench_detector(DetectorKind::Sd)),
         },
         MacroBench {
             id: "detect/katara/beers",
             ds: ds_of(DatasetId::Beers, 3),
             seed,
-            run: bench_detector(DetectorKind::Katara),
+            run: Box::new(bench_detector(DetectorKind::Katara)),
         },
         MacroBench {
             id: "detect/raha/beers",
             ds: ds_of(DatasetId::Beers, 4),
             seed,
-            run: bench_detector(DetectorKind::Raha),
+            run: Box::new(bench_detector(DetectorKind::Raha)),
         },
         MacroBench {
             id: "repair/mean_mode/beers",
             ds: ds_of(DatasetId::Beers, 5),
             seed,
-            run: bench_repair_mean_mode,
+            run: Box::new(bench_repair_mean_mode),
         },
         MacroBench {
             id: "repair/miss_forest/beers",
             ds: ds_of(DatasetId::Beers, 6),
             seed,
-            run: bench_repair_miss_forest,
+            run: Box::new(bench_repair_miss_forest),
         },
         MacroBench {
             id: "ml/decision_tree_s1/breast_cancer",
             ds: ds_of(DatasetId::BreastCancer, 7),
             seed,
-            run: bench_ml_fit,
+            run: Box::new(bench_ml_fit),
         },
-        MacroBench { id: "e2e/s1/beers", ds: ds_of(DatasetId::Beers, 8), seed, run: bench_e2e_s1 },
+        MacroBench {
+            id: "e2e/s1/beers",
+            ds: ds_of(DatasetId::Beers, 8),
+            seed,
+            run: Box::new(bench_e2e_s1),
+        },
     ]
 }
 

@@ -5,11 +5,11 @@
 use std::time::Duration;
 
 use rein_data::rng::derive_seed;
-use rein_data::{CellMask, Table};
+use rein_data::{CellMask, Table, Value};
 use rein_datasets::GeneratedDataset;
 use rein_detect::{DetectContext, DetectorKind, KnowledgeBase, Oracle};
 use rein_guard::{GuardPolicy, GuardSpec, Phase, StrategyFailure};
-use rein_ml::encode::{select_matrix_rows, Encoder, LabelMap};
+use rein_ml::encode::{Encoder, LabelMap, ParsedTables};
 use rein_ml::model::{ClassifierKind, ClustererKind, RegressorKind};
 use rein_repair::{RepairContext, RepairKind, RepairOutcome, TrainedPipeline};
 use rein_stats::repair_quality::RmseReport;
@@ -421,17 +421,48 @@ pub fn repair_quality_numerical(
     Some((repaired, dirty))
 }
 
-/// Resolves the `(train, test)` tables for a scenario given the version
+/// One side of a scenario split: rows of the table its role names, in
+/// model order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SplitRows {
+    /// Which table the rows index: the ground truth or the version.
+    pub role: VersionRole,
+    /// Row indices into that table.
+    pub rows: Vec<usize>,
+}
+
+impl SplitRows {
+    /// Position of this side's table in `[&ds.clean, &version.table]`,
+    /// the source order the evaluation parses its tables in.
+    pub fn source(&self) -> usize {
+        match self.role {
+            VersionRole::GroundTruth => 0,
+            VersionRole::Version => 1,
+        }
+    }
+}
+
+/// The row views a scenario trains and tests on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScenarioSplit {
+    /// Training rows.
+    pub train: SplitRows,
+    /// Test rows.
+    pub test: SplitRows,
+}
+
+/// Resolves the train and test rows for a scenario given the version
 /// under evaluation. Splitting happens in the clean-row space so train and
 /// test never share an underlying record even across versions; injected
-/// duplicate rows always go to the training side.
+/// duplicate rows always go to the training side. Ground-truth rows come
+/// in the split's (shuffled) order, version rows in ascending order.
 pub fn scenario_split(
     scenario: Scenario,
     ds: &GeneratedDataset,
     version: &VersionTable,
     test_fraction: f64,
     seed: u64,
-) -> (Table, Table) {
+) -> ScenarioSplit {
     let n_clean = ds.clean.n_rows();
     let split = rein_data::split::train_test_indices(n_clean, test_fraction, seed);
     let in_test: Vec<bool> = {
@@ -441,8 +472,8 @@ pub fn scenario_split(
         }
         v
     };
-    let rows_of = |role: VersionRole, want_test: bool| -> Vec<usize> {
-        match role {
+    let side = |role: VersionRole, want_test: bool| -> SplitRows {
+        let rows = match role {
             VersionRole::GroundTruth => {
                 if want_test {
                     split.test.clone()
@@ -460,22 +491,29 @@ pub fn scenario_split(
                     }
                 })
                 .collect(),
-        }
+        };
+        SplitRows { role, rows }
     };
     let (train_role, test_role) = scenario.roles();
-    let train = match train_role {
-        VersionRole::GroundTruth => ds.clean.select_rows(&rows_of(train_role, false)),
-        VersionRole::Version => version.table.select_rows(&rows_of(train_role, false)),
-    };
-    let test = match test_role {
-        VersionRole::GroundTruth => ds.clean.select_rows(&rows_of(test_role, true)),
-        VersionRole::Version => version.table.select_rows(&rows_of(test_role, true)),
-    };
-    (train, test)
+    ScenarioSplit { train: side(train_role, false), test: side(test_role, true) }
+}
+
+/// The tables a [`SplitRows`] can index, by [`SplitRows::source`].
+fn eval_sources<'a>(ds: &'a GeneratedDataset, version: &'a VersionTable) -> [&'a Table; 2] {
+    [&ds.clean, &version.table]
+}
+
+/// Keeps the rows of `side` whose target is known, in order, with their
+/// targets (`targets[source][row]`).
+fn labelled<T: Copy>(side: &SplitRows, targets: &[Vec<Option<T>>]) -> (Vec<usize>, Vec<T>) {
+    let targets = &targets[side.source()];
+    side.rows.iter().filter_map(|&r| targets[r].map(|t| (r, t))).unzip()
 }
 
 /// Macro-F1 scores of a classifier over `repeats` seeded train/test splits
-/// in the given scenario.
+/// in the given scenario. Both tables are parsed once per call; each
+/// repeat fits the encoder on its training rows and encodes the labelled
+/// rows straight into the model matrices.
 pub fn eval_classifier(
     scenario: Scenario,
     ds: &GeneratedDataset,
@@ -488,18 +526,24 @@ pub fn eval_classifier(
     let label_col = ds.clean.schema().label_index().expect("classification dataset");
     let feature_cols = ds.clean.schema().feature_indices();
     let labels = LabelMap::fit([&ds.clean, &version.table], label_col);
+    let sources = eval_sources(ds, version);
+    let parsed = ParsedTables::new(&sources, &feature_cols);
+    let targets: Vec<Vec<Option<usize>>> = sources
+        .iter()
+        .map(|t| t.column(label_col).iter().map(|v| labels.id_of(v)).collect())
+        .collect();
     (0..repeats)
         .map(|rep| {
             let seed = derive_seed(base_seed, rep as u64);
-            let (train, test) = scenario_split(scenario, ds, version, 0.25, seed);
-            let encoder = Encoder::fit(&train, &feature_cols);
-            let (tr_rows, tr_y) = labels.encode(&train, label_col);
-            let (te_rows, te_y) = labels.encode(&test, label_col);
+            let split = scenario_split(scenario, ds, version, 0.25, seed);
+            let encoder = Encoder::fit_rows(&parsed, split.train.source(), &split.train.rows);
+            let (tr_rows, tr_y) = labelled(&split.train, &targets);
+            let (te_rows, te_y) = labelled(&split.test, &targets);
             if tr_rows.is_empty() || te_rows.is_empty() {
                 return f64::NAN;
             }
-            let xtr = select_matrix_rows(&encoder.transform(&train), &tr_rows);
-            let xte = select_matrix_rows(&encoder.transform(&test), &te_rows);
+            let xtr = encoder.transform_rows(&parsed, split.train.source(), &tr_rows);
+            let xte = encoder.transform_rows(&parsed, split.test.source(), &te_rows);
             let mut model = kind.build(seed);
             model.fit(&xtr, &tr_y, labels.n_classes());
             let preds = model.predict(&xte);
@@ -549,7 +593,8 @@ pub fn eval_classifier_guarded(
     }
 }
 
-/// Test RMSE of a regressor over `repeats` splits in the given scenario.
+/// Test RMSE of a regressor over `repeats` splits in the given scenario;
+/// parses and encodes like [`eval_classifier`].
 pub fn eval_regressor(
     scenario: Scenario,
     ds: &GeneratedDataset,
@@ -561,18 +606,22 @@ pub fn eval_regressor(
     // audit:allow(panic, regression datasets carry a label column by construction)
     let label_col = ds.clean.schema().label_index().expect("regression dataset");
     let feature_cols = ds.clean.schema().feature_indices();
+    let sources = eval_sources(ds, version);
+    let parsed = ParsedTables::new(&sources, &feature_cols);
+    let targets: Vec<Vec<Option<f64>>> =
+        sources.iter().map(|t| t.column(label_col).iter().map(Value::as_f64).collect()).collect();
     (0..repeats)
         .map(|rep| {
             let seed = derive_seed(base_seed, rep as u64);
-            let (train, test) = scenario_split(scenario, ds, version, 0.25, seed);
-            let encoder = Encoder::fit(&train, &feature_cols);
-            let (tr_rows, tr_y) = rein_ml::encode::regression_target(&train, label_col);
-            let (te_rows, te_y) = rein_ml::encode::regression_target(&test, label_col);
+            let split = scenario_split(scenario, ds, version, 0.25, seed);
+            let encoder = Encoder::fit_rows(&parsed, split.train.source(), &split.train.rows);
+            let (tr_rows, tr_y) = labelled(&split.train, &targets);
+            let (te_rows, te_y) = labelled(&split.test, &targets);
             if tr_rows.is_empty() || te_rows.is_empty() {
                 return f64::NAN;
             }
-            let xtr = select_matrix_rows(&encoder.transform(&train), &tr_rows);
-            let xte = select_matrix_rows(&encoder.transform(&test), &te_rows);
+            let xtr = encoder.transform_rows(&parsed, split.train.source(), &tr_rows);
+            let xte = encoder.transform_rows(&parsed, split.test.source(), &te_rows);
             let mut model = kind.build(seed);
             model.fit(&xtr, &tr_y);
             rein_ml::rmse(&te_y, &model.predict(&xte))
@@ -684,10 +733,11 @@ mod tests {
         let ds = small_beers();
         let version = VersionTable::identity(ds.dirty.clone());
         for scenario in [Scenario::S1, Scenario::S2, Scenario::S3, Scenario::S4] {
-            let (train, test) = scenario_split(scenario, &ds, &version, 0.25, 3);
-            assert!(train.n_rows() > 0 && test.n_rows() > 0, "{scenario:?}");
+            let split = scenario_split(scenario, &ds, &version, 0.25, 3);
+            let (train, test) = (split.train.rows.len(), split.test.rows.len());
+            assert!(train > 0 && test > 0, "{scenario:?}");
             // Train + test never exceed clean rows + duplicates.
-            assert!(train.n_rows() + test.n_rows() <= ds.dirty.n_rows().max(ds.clean.n_rows()) + 1);
+            assert!(train + test <= ds.dirty.n_rows().max(ds.clean.n_rows()) + 1);
         }
     }
 

@@ -21,7 +21,8 @@ pub use controller::{CleaningStrategy, Controller, Plan};
 pub use evaluate::{
     detect_with_context, eval_classifier, eval_classifier_guarded, eval_clusterer,
     eval_pipeline_s5, eval_regressor, eval_regressor_guarded, run_repair, run_repair_guarded,
-    scenario_split, DetectorHarness, DetectorRun, RepairRun, VersionTable,
+    scenario_split, DetectorHarness, DetectorRun, RepairRun, ScenarioSplit, SplitRows,
+    VersionTable,
 };
 pub use experiment::{ab_test, AbTestRecord, DetectionRecord, ModelRecord, RepairRecord};
 pub use rein_guard::{

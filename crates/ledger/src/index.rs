@@ -174,12 +174,11 @@ impl LedgerIndex {
         text
     }
 
-    /// Writes the index to `path`, creating parent directories.
+    /// Atomically writes the index to `path`, creating parent
+    /// directories: a crash leaves the old index or the new one, never a
+    /// torn file that would lose the cross-run history.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json())
+        rein_telemetry::atomic_write(path, self.to_json().as_bytes())
     }
 
     /// Restores the canonical entry order.
@@ -317,5 +316,26 @@ mod tests {
         assert_eq!(back, index);
         let sources: Vec<&str> = index.entries.iter().map(|e| e.source.as_str()).collect();
         assert_eq!(sources, ["a.json", "z.json"], "entries sort by (kind, source, key)");
+    }
+
+    #[test]
+    fn save_replaces_content_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("rein-ledger-save-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("ledger").join("index.json");
+        let mut index = LedgerIndex::default();
+        index.apply(vec![entry("aa", "a.json")]);
+        index.save(&path).expect("first save");
+        index.apply(vec![entry("bb", "b.json")]);
+        index.save(&path).expect("second save");
+        assert_eq!(LedgerIndex::load(&path).expect("index loads"), index);
+        let leftovers: Vec<String> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must not survive a save: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,8 +16,8 @@
 
 use std::path::{Path, PathBuf};
 
+use rein_telemetry::{atomic_write, RunManifest, TraceForest};
 use rein_telemetry::{build_traces, cell_costs, chrome_trace_json, flamegraph_svg, CellCost};
-use rein_telemetry::{RunManifest, TraceForest};
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{content_key, run_identity};
@@ -99,12 +99,12 @@ pub fn write_exports(
     let chrome = dir.join(format!("{stem}.trace.json"));
     let flame = dir.join(format!("{stem}.flame.svg"));
     let cells = dir.join(format!("{stem}.cells.json"));
-    std::fs::write(&chrome, chrome_trace_json(&forest))
-        .map_err(|e| format!("write {}: {e}", chrome.display()))?;
-    std::fs::write(&flame, flamegraph_svg(&forest))
-        .map_err(|e| format!("write {}: {e}", flame.display()))?;
-    std::fs::write(&cells, export_json(&export))
-        .map_err(|e| format!("write {}: {e}", cells.display()))?;
+    let write = |path: &Path, text: String| {
+        atomic_write(path, text.as_bytes()).map_err(|e| format!("write {}: {e}", path.display()))
+    };
+    write(&chrome, chrome_trace_json(&forest))?;
+    write(&flame, flamegraph_svg(&forest))?;
+    write(&cells, export_json(&export))?;
     Ok([chrome, flame, cells])
 }
 

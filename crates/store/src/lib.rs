@@ -49,10 +49,9 @@ use std::sync::Mutex;
 use rein_ledger::fnv1a64;
 use serde::{Deserialize, Serialize};
 
-mod atomic;
 mod writer;
 
-pub use atomic::{atomic_write, fsync_dir};
+pub use rein_telemetry::{atomic_write, fsync_dir};
 pub use writer::StoreWriter;
 
 /// Journal file magic: identifies the format and its version.

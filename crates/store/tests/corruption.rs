@@ -5,7 +5,7 @@
 //! was actually committed — with the exact bad stretch quarantined and
 //! reported, never repaired in place.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ fn assert_survivors_are_committed(store: &Store, committed: &[(String, String)])
 
 /// The in-memory recovery report and the on-disk structured report must
 /// agree exactly — quarantine is never silent.
-fn assert_quarantine_reported(root: &PathBuf, store: &Store) {
+fn assert_quarantine_reported(root: &Path, store: &Store) {
     let recovered = &store.recovery().quarantined;
     if recovered.is_empty() {
         return;

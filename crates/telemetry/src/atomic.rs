@@ -1,5 +1,7 @@
-//! The hardened atomic-write primitive shared by the store's segment
-//! writer and the repository's CSV persistence.
+//! The hardened atomic-write primitive for every durable artifact: the
+//! store's journal segments, the repository's CSV persistence, run
+//! manifests, the ledger index and trace exports, and bench reports. It
+//! lives in this leaf crate so all of them share one implementation.
 //!
 //! The classic temp-file + rename pattern guarantees the *name* flips
 //! atomically, but not that the *bytes* behind it are durable: after a
@@ -63,8 +65,8 @@ mod tests {
     use super::*;
 
     fn tmp_root(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("rein-store-atomic-{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir()
+            .join(format!("rein-telemetry-atomic-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -54,6 +54,7 @@
 //! manifest.write().expect("manifest written");
 //! ```
 
+mod atomic;
 mod failures;
 mod log;
 mod manifest;
@@ -62,6 +63,7 @@ pub mod perf;
 mod span;
 pub mod trace;
 
+pub use atomic::{atomic_write, fsync_dir};
 pub use failures::{failures_snapshot, record_failure, FailureRecord};
 pub use log::{emit, enabled, level, set_level, Level};
 pub use manifest::{

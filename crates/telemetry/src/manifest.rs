@@ -200,14 +200,11 @@ impl RunManifest {
         serde_json::to_string_pretty(self).expect("manifest serializes")
     }
 
-    /// Writes the manifest to [`RunManifest::path`], creating the
-    /// directory if needed, and returns the path written.
+    /// Atomically writes the manifest to [`RunManifest::path`], creating
+    /// the directory if needed, and returns the path written.
     pub fn write(&self) -> io::Result<PathBuf> {
         let path = self.path();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(&path, self.to_json())?;
+        crate::atomic_write(&path, self.to_json().as_bytes())?;
         crate::info!("wrote run manifest {}", path.display());
         Ok(path)
     }

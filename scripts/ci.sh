@@ -6,11 +6,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (REIN_THREADS=1)"
-REIN_THREADS=1 cargo test -q
+# The root package is not a virtual workspace, so a bare `cargo test`
+# only tests the root `rein` crate; `--workspace` covers every crate.
+echo "==> cargo test --workspace -q (REIN_THREADS=1)"
+REIN_THREADS=1 cargo test --workspace -q
 
-echo "==> cargo test -q (REIN_THREADS=4)"
-REIN_THREADS=4 cargo test -q
+echo "==> cargo test --workspace -q (REIN_THREADS=4)"
+REIN_THREADS=4 cargo test --workspace -q
 
 echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
 cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
@@ -105,7 +107,7 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI checks passed."
