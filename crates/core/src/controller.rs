@@ -2,7 +2,7 @@
 //! evaluation module, and exploits design-time knowledge (error types, ML
 //! task, available signals) to sidestep unnecessary experiments.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -13,7 +13,8 @@ use rein_detect::DetectorKind;
 use rein_guard::{CrashWhen, GuardPolicy, StrategyFailure};
 use rein_ml::model::{ClassifierKind, ClustererKind, RegressorKind};
 use rein_repair::{RepairCategory, RepairKind};
-use rein_store::{CrashPoint, Store, StoreWriter};
+use rein_store::{CrashPoint, Store, StoreWriter, StoredCell};
+use rein_telemetry::SpanCtx;
 
 use crate::evaluate::{
     eval_classifier_guarded, eval_clusterer, eval_regressor_guarded, repair_quality_categorical,
@@ -63,12 +64,12 @@ pub struct Controller {
     /// or worker identity) to stderr.
     pub progress: bool,
     /// Durable cell-result store (`REIN_STORE`, plumbed by rein-bench):
-    /// when set, [`Controller::run_grid`] consults the store before
-    /// dispatching each cell, replays hits without executing the
-    /// strategy, and commits every computed cell through the store's
-    /// write-ahead journal at the grid's sequential merge points
-    /// (DESIGN.md §6j). `None` runs the grid store-less, byte-identical
-    /// to the pre-store behaviour.
+    /// when set, [`Controller::run_grid`] looks each cell up before
+    /// dispatching it, replays hits without executing the strategy, and
+    /// commits every computed cell through the store's write-ahead
+    /// journal at each phase's sequential merge point (DESIGN.md §6j).
+    /// `None` runs the same phases with every lookup a miss and nothing
+    /// committed, so the cell map is byte-identical either way.
     pub store: Option<Arc<Store>>,
 }
 
@@ -121,83 +122,20 @@ impl Controller {
         Plan { detectors, generic_repairers: generic, ml_repairers: ml }
     }
 
-    /// Runs the detection phase: every planned detector, in parallel.
-    /// Each worker opens a **cell trace root** named for its grid
-    /// coordinate and keyed by the cell's [`CellKey`] digest, so every
-    /// span and instant the detector produces reconstructs into that
-    /// cell's tree after the sharded sink merges (DESIGN.md §6i).
-    ///
-    /// [`CellKey`]: crate::cache_key::CellKey
+    /// Runs the detection phase store-less: every planned detector, in
+    /// parallel ([`Controller::detect_phase`] with no store).
     pub fn run_detection(&self, ds: &GeneratedDataset) -> Vec<DetectorRun> {
-        let plan = self.plan(ds);
-        let span = rein_telemetry::span("controller:detect");
-        // Detector spans open on rayon worker threads; hand them the
-        // phase span explicitly so nesting survives the fan-out.
-        let parent = Some(span.ctx());
-        let dirty_id = table_identity(&ds.dirty);
-        let runs: Vec<DetectorRun> = plan
-            .detectors
-            .par_iter()
-            .map(|&kind| {
-                let strategy = format!("detect:{}", kind.name());
-                let cell_seed = derive_seed(self.seed, kind.index_letter() as u64);
-                let trace = self.cell_key(ds, &dirty_id, &strategy, self.scale, cell_seed).hash();
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{strategy}"), parent, trace);
-                let harness = DetectorHarness::new(ds, self.label_budget, cell_seed)
-                    .with_policy(self.policy.clone());
-                harness.run(ds, kind)
-            })
-            .collect();
-        let failed = runs.iter().filter(|r| r.failure.is_some()).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=detect done={} failed={failed} total={}",
-            ds.info.name,
-            runs.len(),
-            runs.len()
-        ));
-        runs
+        let pass = self.pass(ds, None);
+        self.detect_phase(&pass).into_iter().map(|(run, _)| run).collect()
     }
 
-    /// Runs the repair phase for one detector's detections: every planned
-    /// generic repairer plus the ML-oriented ones.
+    /// Runs the repair phase store-less for one detector's detections:
+    /// every planned generic repairer plus the ML-oriented ones
+    /// ([`Controller::repair_phase`] with no store).
     pub fn run_repairs(&self, ds: &GeneratedDataset, detection: &DetectorRun) -> Vec<RepairRun> {
-        let plan = self.plan(ds);
-        let kinds: Vec<RepairKind> =
-            plan.generic_repairers.iter().chain(plan.ml_repairers.iter()).copied().collect();
-        let span = rein_telemetry::span("controller:repair");
-        let parent = Some(span.ctx());
-        // Repair cells consume the dirty table (plus the detector's
-        // mask, named in the strategy coordinate): its identity is the
-        // `dataset_version` component of the cell trace id.
-        let dirty_id = table_identity(&ds.dirty);
-        let runs: Vec<RepairRun> = kinds
-            .par_iter()
-            .map(|&kind| {
-                let strategy = format!("repair:{}#{}", kind.name(), detection.kind.name());
-                let cell_seed = derive_seed(self.seed, kind.index() as u64);
-                let trace = self.cell_key(ds, &dirty_id, &strategy, self.scale, cell_seed).hash();
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{strategy}"), parent, trace);
-                run_repair_guarded(
-                    ds,
-                    &detection.mask,
-                    kind,
-                    cell_seed,
-                    detection.kind.name(),
-                    &self.policy,
-                )
-            })
-            .collect();
-        let failed = runs.iter().filter(|r| r.failure.is_some()).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=repair detector={} done={} failed={failed} total={}",
-            ds.info.name,
-            detection.kind.name(),
-            runs.len(),
-            runs.len()
-        ));
-        runs
+        let pass = self.pass(ds, None);
+        // Without a store every slot holds its live run.
+        self.repair_phase(&pass, detection).into_iter().filter_map(|slot| slot.run).collect()
     }
 
     /// Runs the full benchmark grid — detection, repair, and (when
@@ -218,76 +156,30 @@ impl Controller {
     /// `parallel_smoke` binary asserts exactly that (1 ≡ 4 ≡ N threads),
     /// and `chaos_smoke` compares fault-free and fault-injected runs of
     /// the same map.
+    ///
+    /// With and without [`Controller::store`] the grid runs the same
+    /// three phases, each in five steps: plan its cells (1), look them
+    /// up (2), compute the misses in parallel (3), commit what they
+    /// staged (4) and merge in plan order (5). The store only decides
+    /// where a cell's payload comes from (DESIGN.md §6j).
     pub fn run_grid(
         &self,
         ds: &GeneratedDataset,
         scenarios: &[Scenario],
         repeats: usize,
     ) -> BTreeMap<String, String> {
-        match self.store.as_deref() {
-            // audit:allow(seed-provenance, store only selects persistence; every cell seed still derives from self.seed and the cell coordinates)
-            Some(store) => self.run_grid_stored(store, ds, scenarios, repeats),
-            None => self.run_grid_direct(ds, scenarios, repeats),
-        }
-    }
-
-    /// The store-less grid: every cell computes, nothing persists.
-    fn run_grid_direct(
-        &self,
-        ds: &GeneratedDataset,
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> BTreeMap<String, String> {
         let _span = rein_telemetry::span("controller:grid");
+        let pass = self.pass(ds, self.store.as_deref());
         let mut cells = BTreeMap::new();
-        let detections = self.run_detection(ds);
-        for (det_ix, det) in detections.iter().enumerate() {
-            let key = format!("detect:{}", det.kind.name());
-            cells.insert(key, detect_payload(&det.mask));
-            // audit:allow(seed-provenance, det only names the guard scope; every repair seed is derived inside run_repairs from self.seed and the repair kind)
-            let repairs = self.run_repairs(ds, det);
-            for rep in &repairs {
-                let key = format!("repair:{}#{}", rep.kind.name(), det.kind.name());
-                cells.insert(key, repair_payload(rep));
-            }
-            cells.extend(self.eval_cells(ds, det, det_ix, &repairs, scenarios, repeats));
-        }
-        self.emit_progress(&format!(
-            "dataset={} grid complete cells={}",
-            ds.info.name,
-            cells.len()
-        ));
-        cells
-    }
-
-    /// The store-backed grid (DESIGN.md §6j): per phase, consult the
-    /// store sequentially, compute only the misses in parallel (under
-    /// exactly the per-cell seeds and trace roots the direct grid
-    /// uses), and commit the computed cells through the write-ahead
-    /// journal at the phase's sequential merge point. Hits replay the
-    /// stored payload bytes verbatim, so a warm grid's cell map is
-    /// byte-identical to a cold one.
-    fn run_grid_stored(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> BTreeMap<String, String> {
-        let _span = rein_telemetry::span("controller:grid");
-        let plan = self.plan(ds);
-        let dirty_id = table_identity(&ds.dirty);
-        let mut cells = BTreeMap::new();
-        let detections = self.stored_detection(store, ds, &plan, &dirty_id);
-        for (det_ix, (det, coordinate, payload)) in detections.iter().enumerate() {
-            cells.insert(coordinate.clone(), payload.clone());
-            // audit:allow(seed-provenance, det names the guard scope and det_ix the plan position; repair and eval seeds derive from self.seed exactly like the direct grid)
-            let repairs = self.stored_repairs(store, ds, &plan, &dirty_id, det);
+        for (det_ix, (det, payload)) in self.detect_phase(&pass).into_iter().enumerate() {
+            cells.insert(format!("detect:{}", det.kind.name()), payload);
+            // audit:allow(seed-provenance, det names the guard scope and the coordinates; repair seeds derive from self.seed and the repair kind)
+            let mut repairs = self.repair_phase(&pass, &det);
             for slot in &repairs {
-                cells.insert(slot.coordinate.clone(), slot.payload.clone());
+                cells.insert(slot.cell.coordinate.clone(), slot.payload.clone());
             }
-            // audit:allow(seed-provenance, det_ix is the detector's plan position; eval seeds derive from self.seed and the cell coordinates as in eval_cells)
-            cells.extend(self.stored_evals(store, ds, det, det_ix, repairs, scenarios, repeats));
+            // audit:allow(seed-provenance, det_ix is the detector's plan position; eval seeds derive from self.seed and the cell coordinates)
+            cells.extend(self.eval_phase(&pass, &det, det_ix, &mut repairs, scenarios, repeats));
         }
         self.emit_progress(&format!(
             "dataset={} grid complete cells={}",
@@ -297,72 +189,65 @@ impl Controller {
         cells
     }
 
-    /// Store-backed detection: hits deserialize the stored mask and
-    /// replay ([`replay_detector_run`]); misses run the detector under
-    /// the same seed/trace the direct phase would use, then commit.
-    /// Returns `(run, coordinate, payload)` in plan order.
-    fn stored_detection(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        plan: &Plan,
-        dirty_id: &str,
-    ) -> Vec<(DetectorRun, String, String)> {
+    /// The shared context of one grid pass.
+    fn pass<'a>(&self, ds: &'a GeneratedDataset, store: Option<&'a Store>) -> Pass<'a> {
+        Pass { ds, plan: self.plan(ds), dirty_id: table_identity(&ds.dirty), store }
+    }
+
+    /// Step 1 of every phase: one cell's coordinate-derived seed, store
+    /// key and trace-root id, from its [`CellKey`].
+    ///
+    /// [`CellKey`]: crate::cache_key::CellKey
+    fn planned(&self, pass: &Pass, version: &str, coordinate: String, seed: u64) -> Planned {
+        let key = self.cell_key(pass.ds, version, &coordinate, self.scale, seed);
+        Planned { digest: key.content_key(), trace: key.hash(), coordinate, seed }
+    }
+
+    /// The detection phase: every planned detector as `(run, payload)`,
+    /// in plan order. A hit deserializes the stored mask and replays it
+    /// ([`replay_detector_run`]); a payload that does not parse back
+    /// into a mask is a miss, never trusted. Each miss runs under a cell
+    /// trace root named for its coordinate and keyed by its
+    /// [`CellKey`] digest, so every span the detector produces
+    /// reconstructs into that cell's tree (DESIGN.md §6i).
+    ///
+    /// [`CellKey`]: crate::cache_key::CellKey
+    fn detect_phase(&self, pass: &Pass) -> Vec<(DetectorRun, String)> {
+        let ds = pass.ds;
         let span = rein_telemetry::span("controller:detect");
+        // Cell roots open on rayon workers; hand them the phase span
+        // explicitly so nesting survives the fan-out.
         let parent = Some(span.ctx());
-        let slots: Vec<(DetectorKind, String, u64, String, u64)> = plan
-            .detectors
+        let kinds = &pass.plan.detectors;
+        let cells: Vec<Planned> = kinds
             .iter()
-            .map(|&kind| {
-                let coordinate = format!("detect:{}", kind.name());
+            .map(|kind| {
                 let seed = derive_seed(self.seed, kind.index_letter() as u64);
-                let key = self.cell_key(ds, dirty_id, &coordinate, self.scale, seed);
-                (kind, coordinate, seed, key.content_key(), key.hash())
+                self.planned(pass, &pass.dirty_id, format!("detect:{}", kind.name()), seed)
             })
             .collect();
-        // Sequential store consultation. A stored payload that fails to
-        // parse back into a mask is treated as a miss, never trusted.
-        let mut out: Vec<Option<(DetectorRun, String)>> = slots
-            .iter()
-            .map(|(kind, _, _, digest, _)| {
-                let cell = store.lookup(digest)?;
-                let mask: CellMask = serde_json::from_str(&cell.payload).ok()?;
-                Some((replay_detector_run(ds, *kind, mask), cell.payload))
-            })
-            .collect();
-        let hits = out.iter().filter(|o| o.is_some()).count();
-        rein_telemetry::counter("store_hits").add(hits as u64);
-        rein_telemetry::counter("store_misses").add((slots.len() - hits) as u64);
-        let writer = StoreWriter::with_shards(rayon::current_num_threads().max(1));
-        let missing: Vec<usize> = (0..slots.len()).filter(|&i| out[i].is_none()).collect();
-        let computed: Vec<(usize, DetectorRun, String)> = missing
+        let store = PhaseStore::new(pass.store);
+        let lookup = store.lookup(&cells, |i, hit| {
+            let mask: CellMask = serde_json::from_str(&hit.payload).ok()?;
+            Some((replay_detector_run(ds, kinds[i], mask), hit.payload))
+        });
+        let computed = lookup
+            .misses()
             .par_iter()
             .map(|&i| {
-                let (kind, coordinate, seed, digest, trace) = &slots[i];
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{coordinate}"), parent, *trace);
-                let harness = DetectorHarness::new(ds, self.label_budget, *seed)
+                let cell = &cells[i];
+                let _worker = cell.trace_root(parent);
+                let harness = DetectorHarness::new(ds, self.label_budget, cell.seed)
                     .with_policy(self.policy.clone());
-                let run = harness.run(ds, *kind);
+                let run = harness.run(ds, kinds[i]);
                 let payload = detect_payload(&run.mask);
-                writer.stage(digest, coordinate, &payload, None);
-                (i, run, payload)
+                store.stage(cell, &payload, None);
+                (i, (run, payload))
             })
             .collect();
-        self.commit(store, &writer);
-        for (i, run, payload) in computed {
-            out[i] = Some((run, payload));
-        }
-        let runs: Vec<(DetectorRun, String, String)> = slots
-            .into_iter()
-            .zip(out)
-            .map(|((_, coordinate, _, _, _), resolved)| {
-                // audit:allow(panic, every store miss was computed in the loop above)
-                let (run, payload) = resolved.expect("detect cell resolved");
-                (run, coordinate, payload)
-            })
-            .collect();
-        let failed = runs.iter().filter(|(r, _, _)| r.failure.is_some()).count();
+        store.commit(&self.policy);
+        let (runs, hits) = lookup.merge(computed);
+        let failed = runs.iter().filter(|(run, _)| run.failure.is_some()).count();
         self.emit_progress(&format!(
             "dataset={} phase=detect done={} failed={failed} total={} hits={hits}",
             ds.info.name,
@@ -372,85 +257,59 @@ impl Controller {
         runs
     }
 
-    /// Store-backed repair phase for one detector's detections. Hits
-    /// keep the stored payload bytes (and the produced version's
-    /// content identity from the record's aux field) without
-    /// rehydrating the table; misses run the repairer live and commit.
-    fn stored_repairs(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        plan: &Plan,
-        dirty_id: &str,
-        det: &DetectorRun,
-    ) -> Vec<RepairSlot> {
-        let kinds: Vec<RepairKind> =
-            plan.generic_repairers.iter().chain(plan.ml_repairers.iter()).copied().collect();
+    /// The repair phase for one detector's detections: every planned
+    /// generic repairer plus the ML-oriented ones, in plan order. A hit
+    /// keeps the stored payload and the produced version's identity
+    /// (the record's aux field) without rehydrating the table; a miss
+    /// runs the repairer live.
+    fn repair_phase(&self, pass: &Pass, det: &DetectorRun) -> Vec<RepairSlot> {
+        let ds = pass.ds;
         let span = rein_telemetry::span("controller:repair");
         let parent = Some(span.ctx());
-        let metas: Vec<(RepairKind, String, u64, String, u64, Option<rein_store::StoredCell>)> =
-            kinds
-                .iter()
-                .map(|&kind| {
-                    let coordinate = format!("repair:{}#{}", kind.name(), det.kind.name());
-                    let seed = derive_seed(self.seed, kind.index() as u64);
-                    let key = self.cell_key(ds, dirty_id, &coordinate, self.scale, seed);
-                    let digest = key.content_key();
-                    let hit = store.lookup(&digest);
-                    (kind, coordinate, seed, digest, key.hash(), hit)
-                })
-                .collect();
-        let hits = metas.iter().filter(|m| m.5.is_some()).count();
-        rein_telemetry::counter("store_hits").add(hits as u64);
-        rein_telemetry::counter("store_misses").add((metas.len() - hits) as u64);
-        let writer = StoreWriter::with_shards(rayon::current_num_threads().max(1));
-        let missing: Vec<usize> = (0..metas.len()).filter(|&i| metas[i].5.is_none()).collect();
-        let computed: Vec<(usize, RepairRun, String, Option<String>)> = missing
+        let kinds: Vec<RepairKind> =
+            pass.plan.generic_repairers.iter().chain(&pass.plan.ml_repairers).copied().collect();
+        // Repair cells consume the dirty table (plus the detector's
+        // mask, named in the coordinate): its identity is the cells'
+        // `dataset_version` key component.
+        let cells: Vec<Planned> = kinds
+            .iter()
+            .map(|kind| {
+                let coordinate = format!("repair:{}#{}", kind.name(), det.kind.name());
+                let seed = derive_seed(self.seed, kind.index() as u64);
+                self.planned(pass, &pass.dirty_id, coordinate, seed)
+            })
+            .collect();
+        let store = PhaseStore::new(pass.store);
+        let lookup = store.lookup(&cells, |_, hit| Some((hit.payload, hit.aux, None)));
+        let computed = lookup
+            .misses()
             .par_iter()
             .map(|&i| {
-                let (kind, coordinate, seed, digest, trace, _) = &metas[i];
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{coordinate}"), parent, *trace);
-                let run =
-                    run_repair_guarded(ds, &det.mask, *kind, *seed, det.kind.name(), &self.policy);
+                let cell = &cells[i];
+                let _worker = cell.trace_root(parent);
+                let run = self.run_repair(pass, det, kinds[i], cell.seed);
                 let payload = repair_payload(&run);
                 let version_id = run.version.as_ref().map(|v| v.content_identity());
-                writer.stage(digest, coordinate, &payload, version_id.as_deref());
-                (i, run, payload, version_id)
+                store.stage(cell, &payload, version_id.as_deref());
+                (i, (payload, version_id, Some(run)))
             })
             .collect();
-        self.commit(store, &writer);
-        let mut live: BTreeMap<usize, (RepairRun, String, Option<String>)> =
-            computed.into_iter().map(|(i, run, payload, vid)| (i, (run, payload, vid))).collect();
-        let failed = live.values().filter(|(run, _, _)| run.failure.is_some()).count();
-        let slots: Vec<RepairSlot> = metas
+        store.commit(&self.policy);
+        let (outcomes, hits) = lookup.merge(computed);
+        let slots: Vec<RepairSlot> = kinds
             .into_iter()
-            .enumerate()
-            .map(|(i, (kind, coordinate, seed, _, trace, hit))| match hit {
-                Some(cell) => RepairSlot {
-                    kind,
-                    coordinate,
-                    seed,
-                    trace,
-                    payload: cell.payload,
-                    version_id: cell.aux,
-                    run: None,
-                },
-                None => {
-                    // audit:allow(panic, every store miss was computed in the loop above)
-                    let (run, payload, version_id) = live.remove(&i).expect("repair cell resolved");
-                    RepairSlot {
-                        kind,
-                        coordinate,
-                        seed,
-                        trace,
-                        payload,
-                        version_id,
-                        run: Some(run),
-                    }
-                }
+            .zip(cells)
+            .zip(outcomes)
+            .map(|((kind, cell), (payload, version_id, run))| RepairSlot {
+                kind,
+                cell,
+                payload,
+                version_id,
+                run,
             })
             .collect();
+        let failed =
+            slots.iter().filter(|s| s.run.as_ref().is_some_and(|r| r.failure.is_some())).count();
         self.emit_progress(&format!(
             "dataset={} phase=repair detector={} done={} failed={failed} total={} hits={hits}",
             ds.info.name,
@@ -461,211 +320,100 @@ impl Controller {
         slots
     }
 
-    /// Store-backed evaluation layer. Eval misses whose repair was a
-    /// store hit first rehydrate that repair live (same seed — the
+    /// The evaluation phase for one detector: every (scenario ×
+    /// table-producing repair) cell, each under its own
+    /// coordinate-derived seed and keyed on the exact table version it
+    /// consumes. An eval miss whose repair was a store hit first
+    /// rehydrates that repair live, once, under the same seed (the
     /// audit's purity certificate makes the recompute byte-identical;
     /// any payload mismatch is counted as `store_divergence`, never
-    /// silently accepted), then evaluate and commit.
-    #[allow(clippy::too_many_arguments)]
-    fn stored_evals(
+    /// silently accepted). Without a store every repair slot already
+    /// holds its live run, so nothing rehydrates.
+    fn eval_phase(
         &self,
-        store: &Store,
-        ds: &GeneratedDataset,
+        pass: &Pass,
         det: &DetectorRun,
         det_ix: usize,
-        mut repairs: Vec<RepairSlot>,
+        repairs: &mut [RepairSlot],
         scenarios: &[Scenario],
         repeats: usize,
     ) -> Vec<(String, String)> {
         if scenarios.is_empty() || repeats == 0 {
             return Vec::new();
         }
+        let ds = pass.ds;
         let span = rein_telemetry::span("controller:evaluate");
         let parent = Some(span.ctx());
-        let work: Vec<(usize, usize)> = (0..scenarios.len())
-            .flat_map(|si| {
-                repairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.version_id.is_some())
-                    .map(move |(ri, _)| (si, ri))
-            })
-            .collect();
-        let metas: Vec<EvalMeta> = work
-            .iter()
-            .map(|&(si, ri)| {
-                let rep = &repairs[ri];
-                // audit:allow(panic, the work list above is filtered to versioned repairs)
-                let version_id = rep.version_id.as_deref().expect("versioned repair identity");
-                let key = format!(
-                    "eval:{}:{}#{}",
-                    scenarios[si].name(),
-                    rep.kind.name(),
-                    det.kind.name()
-                );
+        let mut work: Vec<(usize, usize)> = Vec::new();
+        let mut cells: Vec<Planned> = Vec::new();
+        for (si, scenario) in scenarios.iter().enumerate() {
+            for (ri, rep) in repairs.iter().enumerate() {
+                let Some(version_id) = rep.version_id.as_deref() else { continue };
+                let coordinate =
+                    format!("eval:{}:{}#{}", scenario.name(), rep.kind.name(), det.kind.name());
                 let seed = derive_seed(
                     self.seed,
                     40_000 + (det_ix as u64) * 1_000 + (si as u64) * 100 + ri as u64,
                 );
-                let ck = self.cell_key(ds, version_id, &key, self.scale, seed);
-                let hit = store.lookup(&ck.content_key()).map(|c| c.payload);
-                EvalMeta { si, ri, key, seed, digest: ck.content_key(), trace: ck.hash(), hit }
-            })
+                work.push((si, ri));
+                cells.push(self.planned(pass, version_id, coordinate, seed));
+            }
+        }
+        let store = PhaseStore::new(pass.store);
+        let lookup = store.lookup(&cells, |_, hit| Some(hit.payload));
+        let misses = lookup.misses();
+        // Each stored repair an eval miss needs rehydrates exactly once.
+        let need: Vec<usize> = (0..repairs.len())
+            .filter(|&ri| repairs[ri].run.is_none() && misses.iter().any(|&i| work[i].1 == ri))
             .collect();
-        let hits = metas.iter().filter(|m| m.hit.is_some()).count();
-        rein_telemetry::counter("store_hits").add(hits as u64);
-        rein_telemetry::counter("store_misses").add((metas.len() - hits) as u64);
-        // Rehydrate each stored repair version that an eval miss needs,
-        // exactly once, in parallel.
-        let need: BTreeSet<usize> = metas
-            .iter()
-            .filter(|m| m.hit.is_none() && repairs[m.ri].run.is_none())
-            .map(|m| m.ri)
-            .collect();
-        let need: Vec<usize> = need.into_iter().collect();
         let rehydrated: Vec<(usize, RepairRun)> = need
             .par_iter()
             .map(|&ri| {
                 let slot = &repairs[ri];
-                let _worker = rein_telemetry::span_traced(
-                    format!("cell:{}", slot.coordinate),
-                    parent,
-                    slot.trace,
-                );
-                let run = run_repair_guarded(
-                    ds,
-                    &det.mask,
-                    slot.kind,
-                    slot.seed,
-                    det.kind.name(),
-                    &self.policy,
-                );
-                (ri, run)
+                let _worker = slot.cell.trace_root(parent);
+                (ri, self.run_repair(pass, det, slot.kind, slot.cell.seed))
             })
             .collect();
-        rein_telemetry::counter("store_rehydrated").add(rehydrated.len() as u64);
+        store.count("store_rehydrated", rehydrated.len());
         for (ri, run) in rehydrated {
             if repair_payload(&run) != repairs[ri].payload {
                 rein_telemetry::counter("store_divergence").incr();
             }
             repairs[ri].run = Some(run);
         }
-        let writer = StoreWriter::with_shards(rayon::current_num_threads().max(1));
-        let missing: Vec<usize> = (0..metas.len()).filter(|&i| metas[i].hit.is_none()).collect();
-        let computed: Vec<(usize, String)> = missing
+        let computed = misses
             .par_iter()
             .map(|&i| {
-                let EvalMeta { si, ri, key, seed, digest, trace, .. } = &metas[i];
-                let slot = &repairs[*ri];
-                // audit:allow(panic, every eval-missed stored repair was rehydrated above)
-                let run = slot.run.as_ref().expect("rehydrated repair");
-                // audit:allow(panic, purity-certified recompute of a version-producing repair yields a version)
-                let version = run.version.as_ref().expect("versioned repair");
-                let _worker = rein_telemetry::span_traced(format!("cell:{key}"), parent, *trace);
-                let payload = self.eval_cell(ds, scenarios[*si], version, repeats, *seed);
-                writer.stage(digest, key, &payload, None);
+                let (si, ri) = work[i];
+                let cell = &cells[i];
+                let version = repairs[ri].run.as_ref().and_then(|run| run.version.as_ref());
+                // audit:allow(panic, a versioned slot holds its live or rehydrated run, and a purity-certified recompute yields the same version)
+                let version = version.expect("versioned repair");
+                let _worker = cell.trace_root(parent);
+                let payload = self.eval_cell(ds, scenarios[si], version, repeats, cell.seed);
+                store.stage(cell, &payload, None);
                 (i, payload)
             })
             .collect();
-        self.commit(store, &writer);
-        let mut live: BTreeMap<usize, String> = computed.into_iter().collect();
-        let cells: Vec<(String, String)> = metas
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| match m.hit {
-                Some(payload) => (m.key, payload),
-                // audit:allow(panic, every store miss was computed in the loop above)
-                None => (m.key, live.remove(&i).expect("eval cell resolved")),
-            })
-            .collect();
-        let failed = cells.iter().filter(|(_, v)| v.contains(" failure:")).count();
+        store.commit(&self.policy);
+        let (payloads, hits) = lookup.merge(computed);
+        let evals: Vec<(String, String)> =
+            cells.into_iter().map(|cell| cell.coordinate).zip(payloads).collect();
+        let failed = evals.iter().filter(|(_, v)| v.contains(" failure:")).count();
         self.emit_progress(&format!(
             "dataset={} phase=eval detector={} done={} failed={failed} total={} hits={hits}",
             ds.info.name,
             det.kind.name(),
-            cells.len(),
-            cells.len()
+            evals.len(),
+            evals.len()
         ));
-        cells
+        evals
     }
 
-    /// Commits everything staged in `writer` through the store's
-    /// write-ahead journal, translating the policy's `REIN_CRASH` rules
-    /// into the store's commit-point injection. A commit I/O failure
-    /// degrades to recompute-next-run: it is counted, never fatal to
-    /// the in-flight grid (the in-memory cell map is already correct).
-    fn commit(&self, store: &Store, writer: &StoreWriter) {
-        let crash = |coordinate: &str| {
-            self.policy.crash.when_for(coordinate).map(|when| match when {
-                CrashWhen::Before => CrashPoint::Before,
-                CrashWhen::After => CrashPoint::After,
-            })
-        };
-        if store.commit_staged(writer, &crash).is_err() {
-            rein_telemetry::counter("store_commit_errors").incr();
-        }
-    }
-
-    /// The evaluation layer of [`Controller::run_grid`]: every
-    /// (scenario × table-producing repair) cell for one detector, in
-    /// parallel, each under its own coordinate-derived seed.
-    fn eval_cells(
-        &self,
-        ds: &GeneratedDataset,
-        det: &DetectorRun,
-        det_ix: usize,
-        repairs: &[RepairRun],
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> Vec<(String, String)> {
-        if scenarios.is_empty() || repeats == 0 {
-            return Vec::new();
-        }
-        let span = rein_telemetry::span("controller:evaluate");
-        let parent = Some(span.ctx());
-        // Per-repair version identities, computed once at the sequential
-        // merge point: each eval cell's trace id keys on the exact table
-        // version it consumes.
-        let version_ids: Vec<Option<String>> =
-            repairs.iter().map(|r| r.version.as_ref().map(|v| v.content_identity())).collect();
-        let work: Vec<(usize, usize)> = (0..scenarios.len())
-            .flat_map(|si| {
-                repairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.version.is_some())
-                    .map(move |(ri, _)| (si, ri))
-            })
-            .collect();
-        let cells: Vec<(String, String)> = work
-            .par_iter()
-            .map(|&(si, ri)| {
-                let scenario = scenarios[si];
-                let rep = &repairs[ri];
-                // audit:allow(panic, the work list above is filtered to table-producing repairs)
-                let version = rep.version.as_ref().expect("versioned repair");
-                // audit:allow(panic, the work list above is filtered to table-producing repairs)
-                let version_id = version_ids[ri].as_deref().expect("versioned repair identity");
-                let cell_seed = derive_seed(
-                    self.seed,
-                    40_000 + (det_ix as u64) * 1_000 + (si as u64) * 100 + ri as u64,
-                );
-                let key =
-                    format!("eval:{}:{}#{}", scenario.name(), rep.kind.name(), det.kind.name());
-                let trace = self.cell_key(ds, version_id, &key, self.scale, cell_seed).hash();
-                let _worker = rein_telemetry::span_traced(format!("cell:{key}"), parent, trace);
-                (key, self.eval_cell(ds, scenario, version, repeats, cell_seed))
-            })
-            .collect();
-        let failed = cells.iter().filter(|(_, v)| v.contains(" failure:")).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=eval detector={} done={} failed={failed} total={}",
-            ds.info.name,
-            det.kind.name(),
-            cells.len(),
-            cells.len()
-        ));
-        cells
+    /// Runs one repair cell live under its coordinate-derived seed: the
+    /// one call both a miss and a rehydration make, so they cannot drift.
+    fn run_repair(&self, pass: &Pass, det: &DetectorRun, kind: RepairKind, seed: u64) -> RepairRun {
+        run_repair_guarded(pass.ds, &det.mask, kind, seed, det.kind.name(), &self.policy)
     }
 
     /// Prints one deterministic-content progress line when the opt-in
@@ -679,8 +427,8 @@ impl Controller {
         }
     }
 
-    /// The canonical cache key of one grid cell, exactly as the
-    /// ROADMAP's content-addressed incremental store will compute it.
+    /// The canonical cache key of one grid cell: the key the grid's
+    /// store lookups and commits use, and its cell trace ids.
     /// `strategy` is the cell's `run_grid` coordinate string
     /// (`detect:…`, `repair:…#…` or `eval:…:…#…`), `dataset_version`
     /// the consumed version's [`VersionTable::content_identity`] (the
@@ -801,31 +549,132 @@ impl Controller {
     }
 }
 
-/// One repair coordinate's state in the store-backed grid: the stored
-/// or freshly-computed cell payload, the produced version's content
-/// identity (the downstream eval cells' `dataset_version` key
-/// component), and — for live or rehydrated repairs — the run itself.
-struct RepairSlot {
-    kind: RepairKind,
-    coordinate: String,
-    seed: u64,
-    trace: u64,
-    payload: String,
-    version_id: Option<String>,
-    run: Option<RepairRun>,
+/// What every phase of one grid pass shares: the dataset, its pruned
+/// plan, the dirty table's identity, and the store, if any.
+struct Pass<'a> {
+    ds: &'a GeneratedDataset,
+    plan: Plan,
+    dirty_id: String,
+    store: Option<&'a Store>,
 }
 
-/// One eval coordinate's store-consultation state: the scenario/repair
-/// indices it evaluates, its cell key material, and the stored payload
-/// when the lookup hit.
-struct EvalMeta {
-    si: usize,
-    ri: usize,
-    key: String,
+/// One planned grid cell: its coordinate, coordinate-derived seed,
+/// store key ([`CellKey::content_key`]) and trace id
+/// ([`CellKey::hash`]).
+///
+/// [`CellKey::content_key`]: crate::cache_key::CellKey::content_key
+/// [`CellKey::hash`]: crate::cache_key::CellKey::hash
+struct Planned {
+    coordinate: String,
     seed: u64,
     digest: String,
     trace: u64,
-    hit: Option<String>,
+}
+
+impl Planned {
+    /// Opens this cell's trace root on a worker, under the phase span.
+    fn trace_root(&self, parent: Option<SpanCtx>) -> rein_telemetry::Span {
+        rein_telemetry::span_traced(format!("cell:{}", self.coordinate), parent, self.trace)
+    }
+}
+
+/// The store's part in one phase: lookup before the fan-out, staging
+/// inside it, and one journal commit at the phase's sequential merge
+/// point. Without a store every lookup misses, nothing stages, nothing
+/// commits and no `store_*` counter is emitted.
+struct PhaseStore<'a> {
+    store: Option<&'a Store>,
+    writer: StoreWriter,
+}
+
+impl<'a> PhaseStore<'a> {
+    fn new(store: Option<&'a Store>) -> Self {
+        Self { store, writer: StoreWriter::with_shards(rayon::current_num_threads().max(1)) }
+    }
+
+    /// Step 2: looks every cell up, in plan order. `hit` turns a stored
+    /// cell into the phase's value, or rejects it as a miss.
+    fn lookup<T>(
+        &self,
+        cells: &[Planned],
+        hit: impl Fn(usize, StoredCell) -> Option<T>,
+    ) -> Lookup<T> {
+        let found: Vec<Option<T>> =
+            cells.iter().enumerate().map(|(i, c)| hit(i, self.store?.lookup(&c.digest)?)).collect();
+        let hits = found.iter().filter(|f| f.is_some()).count();
+        self.count("store_hits", hits);
+        self.count("store_misses", cells.len() - hits);
+        Lookup { found, hits }
+    }
+
+    /// Stages one computed cell for this phase's commit. Callable from
+    /// the phase's parallel workers.
+    fn stage(&self, cell: &Planned, payload: &str, aux: Option<&str>) {
+        if self.store.is_some() {
+            self.writer.stage(&cell.digest, &cell.coordinate, payload, aux);
+        }
+    }
+
+    /// Adds `n` to a store counter.
+    fn count(&self, counter: &str, n: usize) {
+        if self.store.is_some() {
+            rein_telemetry::counter(counter).add(n as u64);
+        }
+    }
+
+    /// Step 4: commits everything staged through the store's
+    /// write-ahead journal, translating the policy's `REIN_CRASH` rules
+    /// into the store's commit-point injection. A commit I/O failure
+    /// degrades to recompute-next-run: it is counted, never fatal to
+    /// the in-flight grid (the in-memory cell map is already correct).
+    fn commit(&self, policy: &GuardPolicy) {
+        let Some(store) = self.store else { return };
+        let crash = |coordinate: &str| {
+            policy.crash.when_for(coordinate).map(|when| match when {
+                CrashWhen::Before => CrashPoint::Before,
+                CrashWhen::After => CrashPoint::After,
+            })
+        };
+        if store.commit_staged(&self.writer, &crash).is_err() {
+            rein_telemetry::counter("store_commit_errors").incr();
+        }
+    }
+}
+
+/// One phase's lookup result: each cell's stored value in plan order
+/// (`None` is a miss) and the number of hits.
+struct Lookup<T> {
+    found: Vec<Option<T>>,
+    hits: usize,
+}
+
+impl<T> Lookup<T> {
+    /// The plan positions of the misses, ascending.
+    fn misses(&self) -> Vec<usize> {
+        (0..self.found.len()).filter(|&i| self.found[i].is_none()).collect()
+    }
+
+    /// Step 5: fills every miss with its computed value and returns the
+    /// phase's values in plan order, with the hit count.
+    fn merge(self, computed: Vec<(usize, T)>) -> (Vec<T>, usize) {
+        let mut found = self.found;
+        for (i, value) in computed {
+            found[i] = Some(value);
+        }
+        (found.into_iter().flatten().collect(), self.hits)
+    }
+}
+
+/// One repair cell after its phase: the stored or freshly computed
+/// payload, the produced version's content identity (the downstream
+/// eval cells' `dataset_version` key component), and — for live or
+/// rehydrated repairs — the run itself.
+struct RepairSlot {
+    kind: RepairKind,
+    cell: Planned,
+    payload: String,
+    version_id: Option<String>,
+    run: Option<RepairRun>,
 }
 
 /// The canonical `detect:…` cell payload: the mask as JSON.
@@ -836,8 +685,8 @@ fn detect_payload(mask: &CellMask) -> String {
 
 /// The canonical `repair:…#…` cell payload: repaired CSV + modified
 /// cells + row map for version-producing repairs, a pipeline marker
-/// otherwise. Shared by the direct and store-backed grids so the
-/// store's committed bytes are exactly the direct grid's cell bytes.
+/// otherwise. The store commits exactly these bytes, and a rehydrated
+/// repair is checked against them.
 fn repair_payload(rep: &RepairRun) -> String {
     match (&rep.version, &rep.repaired_cells) {
         (Some(v), Some(m)) => format!(
@@ -1021,9 +870,24 @@ mod tests {
         let reopened = Arc::new(Store::open(&root).unwrap());
         assert_eq!(reopened.cell_count(), want.len(), "journal replay is lossless");
         assert!(reopened.recovery().quarantined.is_empty());
-        let warm_ctrl = Controller { store: Some(reopened), ..direct };
+        let warm_ctrl = Controller { store: Some(reopened), ..direct.clone() };
         let warm = warm_ctrl.run_grid(&ds, &[Scenario::S1], 1);
         assert_eq!(want, warm, "warm store-backed grid diverges from direct grid");
+        let _ = std::fs::remove_dir_all(&root);
+
+        // Rehydrate path: a store holding only detect and repair cells
+        // serves every repair as a hit, so each eval miss re-runs its
+        // stored repair live before evaluating — still byte-identical.
+        let root = std::env::temp_dir().join(format!("rein-ctrl-rehydrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = Arc::new(Store::open(&root).unwrap());
+        let ctrl = Controller { store: Some(store.clone()), ..direct };
+        let partial = ctrl.run_grid(&ds, &[], 0);
+        assert!(partial.keys().all(|k| !k.starts_with("eval:")), "no eval cells without scenarios");
+        assert_eq!(store.cell_count(), partial.len(), "detect and repair cells committed");
+        let rehydrated = ctrl.run_grid(&ds, &[Scenario::S1], 1);
+        assert_eq!(want, rehydrated, "rehydrated store-backed grid diverges from direct grid");
+        assert_eq!(store.cell_count(), want.len(), "every eval cell committed after rehydrating");
         let _ = std::fs::remove_dir_all(&root);
     }
 

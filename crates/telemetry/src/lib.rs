@@ -56,6 +56,7 @@
 
 mod atomic;
 mod failures;
+mod hash;
 mod log;
 mod manifest;
 mod metrics;
@@ -65,6 +66,7 @@ pub mod trace;
 
 pub use atomic::{atomic_write, fsync_dir};
 pub use failures::{failures_snapshot, record_failure, FailureRecord};
+pub use hash::{content_key, fnv1a64};
 pub use log::{emit, enabled, level, set_level, Level};
 pub use manifest::{
     manifest_dir, manifest_mode, summarize_spans, ManifestMode, RunConfig, RunManifest, SpanRollup,
