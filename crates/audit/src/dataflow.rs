@@ -177,9 +177,8 @@ pub(crate) struct TaintSource {
 }
 
 /// Environment-read detection: `std::env::var` and friends. Returns the
-/// rendered callee on a match. Shared with the `env-read-confinement`
-/// rule so the two stay in sync.
-pub(crate) fn env_read(call: &Call) -> Option<String> {
+/// rendered callee on a match.
+fn env_read(call: &Call) -> Option<String> {
     let name = call.callee.name();
     let is_read = matches!(name, "var" | "var_os" | "vars" | "vars_os");
     if is_read && call.callee.qualifier() == Some("env") {

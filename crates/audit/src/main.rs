@@ -5,7 +5,7 @@
 //! --sarif FILE --only RULE --deny-stale --quiet]`
 
 // This binary is the audit's report surface; printing is its job.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -67,6 +67,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rein-audit depends only on serde, so it cannot reach rein_telemetry::atomic_write; \
+              its reports are regenerated by every run"
+)]
 fn write_out(path: &PathBuf, content: &str, quiet: bool, what: &str) -> Result<(), ExitCode> {
     if let Some(dir) = path.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {

@@ -1,7 +1,7 @@
 //! A recursive-descent parser for the Rust subset the semantic rules
 //! need: items (fns, mods, impls, traits, uses), function signatures,
 //! and a linear body scan that records calls (with per-argument ident
-//! flow), `let` bindings and panic sites.
+//! flow) and `let` bindings.
 //!
 //! It runs over the comment/string-blanked output of [`crate::lexer`],
 //! so literals and prose can never produce spurious tokens. It is not a
@@ -196,13 +196,6 @@ pub struct LetBinding {
     pub line: usize,
 }
 
-/// One potential panic site.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    pub line: usize,
-    pub what: &'static str,
-}
-
 /// One closure expression inside a function body. Closures are how code
 /// enters rayon parallel regions (`par_iter().map(|x| …)`,
 /// `spawn(move || …)`), so the concurrency rules need to know which
@@ -257,7 +250,6 @@ pub struct Function {
     pub calls: Vec<Call>,
     pub lets: Vec<LetBinding>,
     pub closures: Vec<Closure>,
-    pub panics: Vec<PanicSite>,
     /// First segments (after `crate`/`self`/`super`) of every
     /// multi-segment path in the body — calls *and* plain paths like
     /// unit-struct or enum-variant constructions.
@@ -1174,12 +1166,6 @@ impl Parser {
                             after = k;
                         }
                         if self.peek_at(after).is_some_and(|t| t.text == "(") {
-                            if name == "unwrap" || name == "expect" {
-                                f.panics.push(PanicSite {
-                                    line: mline,
-                                    what: if name == "unwrap" { ".unwrap()" } else { ".expect(" },
-                                });
-                            }
                             let ix = f.calls.len();
                             f.calls.push(Call {
                                 callee: Callee::Method(name),
@@ -1265,19 +1251,8 @@ impl Parser {
             Some(t) => t.clone(),
             None => return,
         };
-        // Macro invocation: `name!` — the name is not a call; panic
-        // macros are recorded as panic sites.
+        // Macro invocation: `name!` — the name is not a call.
         if self.peek_at(1).is_some_and(|t| t.kind == TokKind::Punct && t.text == "!") {
-            let what = match first.text.as_str() {
-                "panic" => Some("panic!"),
-                "unreachable" => Some("unreachable!"),
-                "todo" => Some("todo!"),
-                "unimplemented" => Some("unimplemented!"),
-                _ => None,
-            };
-            if let Some(what) = what {
-                f.panics.push(PanicSite { line: first.line, what });
-            }
             self.bump();
             self.bump();
             return;
@@ -1521,20 +1496,17 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_and_macros() {
+    fn macros_are_not_calls() {
         let p = parse(
             "fn go(o: Option<u8>) {\n\
                  o.unwrap();\n\
-                 o.expect(\"msg\");\n\
                  panic!(\"boom\");\n\
                  writeln!(f, \"x\").ok();\n\
              }\n",
         );
         let f = &p.functions[0];
-        let whats: Vec<_> = f.panics.iter().map(|s| s.what).collect();
-        assert_eq!(whats, [".unwrap()", ".expect(", "panic!"]);
-        // `writeln!` is a macro, not a call.
-        assert!(!f.calls.iter().any(|c| c.callee.name() == "writeln"));
+        let names: Vec<_> = f.calls.iter().map(|c| c.callee.name()).collect();
+        assert_eq!(names, ["unwrap", "ok"]);
     }
 
     #[test]

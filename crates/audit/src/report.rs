@@ -212,8 +212,6 @@ pub fn audit_sources(sources: Vec<(String, String)>) -> Report {
     // Stale-allow pass: every well-formed annotation that suppressed
     // nothing in either pass is dead weight — it documents a finding
     // that no longer exists and would silently mask a future one.
-    // `panic` annotations double as panic-reachability waivers through
-    // the same per-site consumption, so they are never falsely stale.
     for f in &model.files {
         let is_live = |consumed: &BTreeMap<String, BTreeSet<(usize, String, bool)>>,
                        key: &(usize, String, bool)| {

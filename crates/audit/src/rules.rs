@@ -44,33 +44,9 @@ const DOC_CONCURRENCY: &str =
     "DESIGN.md#6g-concurrency-determinism-rules-parallel-grid-certification";
 const DOC_DATAFLOW: &str = "DESIGN.md#6h-cache-key-purity-certification-taint-dataflow";
 const DOC_TRACE: &str = "DESIGN.md#6i-causal-cell-level-tracing-trace-context-propagation";
-const DOC_STORE: &str =
-    "DESIGN.md#6j-crash-safe-incremental-grid-the-durable-cell-store-rein-store";
 
 /// The audit rule catalog.
-pub const RULES: [RuleInfo; 26] = [
-    RuleInfo {
-        id: "wallclock",
-        help_uri: DOC_TOKEN,
-        description: "No Instant::now/SystemTime outside \
-                      rein-telemetry::perf — wall-clock reads make runs \
-                      irreproducible; every timer flows through the one \
-                      sanctioned perf module (perf::now / perf::Stopwatch).",
-    },
-    RuleInfo {
-        id: "hash-iter",
-        help_uri: DOC_TOKEN,
-        description: "No HashMap/HashSet in result-producing code — their \
-                      iteration order varies across runs; use \
-                      BTreeMap/BTreeSet or sort before iterating.",
-    },
-    RuleInfo {
-        id: "unseeded-rng",
-        help_uri: DOC_TOKEN,
-        description: "No unseeded randomness (thread_rng, from_entropy, \
-                      rand::random) anywhere — every RNG must derive from an \
-                      explicit seed.",
-    },
+pub const RULES: [RuleInfo; 19] = [
     RuleInfo {
         id: "panic",
         help_uri: DOC_TOKEN,
@@ -89,12 +65,6 @@ pub const RULES: [RuleInfo; 26] = [
         help_uri: DOC_TOKEN,
         description: "Every detector/repair module must open a telemetry \
                       span.",
-    },
-    RuleInfo {
-        id: "print",
-        help_uri: DOC_TOKEN,
-        description: "No bare println!/eprintln! outside the telemetry \
-                      emitter and bench result emission.",
     },
     RuleInfo {
         id: "seed-provenance",
@@ -120,14 +90,6 @@ pub const RULES: [RuleInfo; 26] = [
                       from at least one bench binary and one test — the \
                       implementation stays honest against the paper's \
                       19x19 grid.",
-    },
-    RuleInfo {
-        id: "panic-reachability",
-        help_uri: DOC_SEMANTIC,
-        description: "No public library API may transitively reach an \
-                      unannotated panic site through the call graph \
-                      (supersedes the per-site `panic` rule for API \
-                      surfaces).",
     },
     RuleInfo {
         id: "result-discard",
@@ -226,14 +188,6 @@ pub const RULES: [RuleInfo; 26] = [
                       a potential stale replay.",
     },
     RuleInfo {
-        id: "env-read-confinement",
-        help_uri: DOC_DATAFLOW,
-        description: "std::env::var and friends are confined to \
-                      rein-bench's config layer (crates/bench/src/lib.rs) \
-                      and binaries — everywhere else the value must be \
-                      snapshotted once and passed down as a parameter.",
-    },
-    RuleInfo {
         id: "float-reduce-order",
         help_uri: DOC_DATAFLOW,
         description: "`.sum()`/`.product()` downstream of a parallel \
@@ -241,17 +195,6 @@ pub const RULES: [RuleInfo; 26] = [
                       first or route through a registered deterministic \
                       merge — float accumulation order is not \
                       associative, so scheduling leaks into result bytes.",
-    },
-    RuleInfo {
-        id: "store-atomic-write",
-        help_uri: DOC_STORE,
-        description: "Store artifacts (journal segments, quarantine \
-                      blobs, the recovery report) must be written through \
-                      rein-store's atomic commit path \
-                      (atomic_write/commit_staged) — a raw fs::write or \
-                      File::create to a store file outside crates/store \
-                      can tear under a crash and defeats the write-ahead \
-                      journal's recovery guarantees.",
     },
     RuleInfo {
         id: "hot-loop-alloc",
@@ -270,23 +213,6 @@ pub const RULES: [RuleInfo; 26] = [
                       cannot mask a future regression.",
     },
 ];
-
-/// Where wall-clock reads are legitimate: exactly the perf module of the
-/// telemetry crate. Everything else — including the rest of
-/// `rein-telemetry` and the ml instrumentation shim — times through
-/// `perf::now`/`perf::Stopwatch`. The dogfood test in
-/// `tests/workspace_clean.rs` pins this list so it cannot silently widen.
-const WALLCLOCK_ALLOWED: [&str; 1] = ["crates/telemetry/src/perf.rs"];
-
-/// The wallclock carve-out, exposed so the workspace dogfood test can
-/// assert it stays exactly one file.
-pub fn wallclock_allowlist() -> &'static [&'static str] {
-    &WALLCLOCK_ALLOWED
-}
-
-/// Where bare prints are legitimate: the telemetry emitter and the bench
-/// crate's report-emission helpers.
-const PRINT_ALLOWED: [&str; 2] = ["crates/telemetry/src/log.rs", "crates/bench/src/lib.rs"];
 
 /// How a file participates in rule scoping, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,10 +233,6 @@ pub fn classify(path: &str) -> FileClass {
         || path.contains("/examples/");
     let is_bin = path.contains("/src/bin/") || path.ends_with("/src/main.rs");
     FileClass { is_test_support, is_bin }
-}
-
-fn starts_with_any(path: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| path == *p || path.starts_with(p))
 }
 
 /// Whether a comment *is* an annotation, as opposed to prose that merely
@@ -510,38 +432,6 @@ pub struct FileAudit {
     pub consumed: BTreeSet<(usize, String, bool)>,
 }
 
-/// Line-level checks: token → rule, with a scope predicate.
-struct LineRule {
-    rule: &'static str,
-    tokens: &'static [&'static str],
-    applies: fn(&str, FileClass) -> bool,
-}
-
-const LINE_RULES: [LineRule; 4] = [
-    LineRule {
-        rule: "wallclock",
-        tokens: &["Instant::now", "SystemTime"],
-        applies: |path, class| !class.is_test_support && !starts_with_any(path, &WALLCLOCK_ALLOWED),
-    },
-    LineRule {
-        rule: "hash-iter",
-        tokens: &["HashMap", "HashSet"],
-        applies: |_, class| !class.is_test_support,
-    },
-    LineRule {
-        rule: "unseeded-rng",
-        tokens: &["thread_rng", "from_entropy", "rand::random"],
-        applies: |_, _| true,
-    },
-    LineRule {
-        rule: "print",
-        tokens: &["println!", "eprintln!"],
-        applies: |path, class| {
-            !class.is_test_support && !class.is_bin && !starts_with_any(path, &PRINT_ALLOWED)
-        },
-    },
-];
-
 /// Tokens the panic-hygiene rule flags in library code.
 const PANIC_TOKENS: [&str; 4] = [".unwrap()", ".expect(", "panic!", "unreachable!"];
 
@@ -573,41 +463,17 @@ pub fn audit_source(path: &str, source: &str) -> FileAudit {
     }
     let file_allowed = |rule: &str| table.file_allowed(rule);
 
-    // Line-level rules.
+    // Line-level rule.
     for (idx, line) in lines.iter().enumerate() {
         if line.code.is_empty() {
             continue;
         }
-        let allowed = |rule: &str| table.allows(idx + 1, rule);
-
-        for lr in &LINE_RULES {
-            if !(lr.applies)(path, class) {
-                continue;
-            }
-            for token in lr.tokens {
-                if has_token(&line.code, token) {
-                    if allowed(lr.rule) {
-                        out.suppressed += 1;
-                        out.consumed.extend(table.match_keys(idx + 1, lr.rule));
-                    } else {
-                        out.violations.push(Violation {
-                            path: path.to_string(),
-                            line: idx + 1,
-                            rule: lr.rule.into(),
-                            message: format!("`{token}` is forbidden here"),
-                        });
-                    }
-                    break; // one violation per rule per line
-                }
-            }
-        }
-
         // Panic hygiene: library (non-bin, non-test) code only, and never
         // inside #[cfg(test)] regions.
         if !class.is_test_support && !class.is_bin && !tests[idx] {
             for token in PANIC_TOKENS {
                 if has_token(&line.code, token) {
-                    if allowed("panic") {
+                    if table.allows(idx + 1, "panic") {
                         out.suppressed += 1;
                         out.consumed.extend(table.match_keys(idx + 1, "panic"));
                     } else {
@@ -721,42 +587,6 @@ pub fn audit_source(path: &str, source: &str) -> FileAudit {
         }
     }
 
-    // Store write discipline: outside the store crate itself (which owns
-    // the fsync'd temp-file + rename machinery), any raw filesystem write
-    // aimed at a store artifact — a journal segment, a quarantine blob,
-    // the recovery report — bypasses the write-ahead journal's atomicity
-    // and can leave a torn file that recovery then quarantines as
-    // corruption. String literals are stripped from lexed code, so the
-    // artifact side matches the identifiers such code necessarily binds
-    // (`journal`, `quarantine`, `segment`, `store_root`).
-    let store_scoped = !class.is_test_support && !path.starts_with("crates/store/src/");
-    if store_scoped {
-        const STORE_WRITE_TOKENS: [&str; 2] = ["fs::write(", "File::create("];
-        const STORE_ARTIFACT_TOKENS: [&str; 4] = ["journal", "quarantine", "segment", "store_root"];
-        for (idx, line) in lines.iter().enumerate() {
-            if tests[idx] {
-                continue;
-            }
-            let raw_write = STORE_WRITE_TOKENS.iter().any(|t| has_token(&line.code, t));
-            let store_artifact = STORE_ARTIFACT_TOKENS.iter().any(|t| has_token(&line.code, t));
-            if raw_write && store_artifact {
-                if table.allows(idx + 1, "store-atomic-write") {
-                    out.suppressed += 1;
-                    out.consumed.extend(table.match_keys(idx + 1, "store-atomic-write"));
-                } else {
-                    out.violations.push(Violation {
-                        path: path.to_string(),
-                        line: idx + 1,
-                        rule: "store-atomic-write".into(),
-                        message: "raw filesystem write to a store artifact — route it \
-                                  through rein_store::atomic_write or Store::commit_staged"
-                            .into(),
-                    });
-                }
-            }
-        }
-    }
-
     let span_scoped = (path.starts_with("crates/detect/src/")
         || path.starts_with("crates/repair/src/"))
         && !path.ends_with("/lib.rs")
@@ -807,23 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_iter_fires_and_suppresses() {
-        let bad = audit_source("crates/core/src/x.rs", "use std::collections::HashMap;\n");
-        assert_eq!(rules_of(&bad), ["hash-iter"]);
-        let ok = audit_source(
-            "crates/core/src/x.rs",
-            "// audit:allow(hash-iter, counting only, never iterated)\n\
-             use std::collections::HashMap;\n",
-        );
-        assert!(ok.violations.is_empty());
-        assert_eq!(ok.suppressed, 1);
-    }
-
-    #[test]
     fn allow_without_reason_is_a_violation() {
         let bad = audit_source(
             "crates/detect/src/x.rs",
-            "let t = SystemTime::now(); // audit:allow-file(wallclock)\n",
+            "let t = x.unwrap(); // audit:allow-file(panic)\n",
         );
         assert!(rules_of(&bad).contains(&"annotation"));
     }
@@ -842,24 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_allowed_in_perf_module_only() {
-        let bad = audit_source("crates/core/src/x.rs", "let t = Instant::now();\n");
-        assert_eq!(rules_of(&bad), ["wallclock"]);
-        let ok = audit_source("crates/telemetry/src/perf.rs", "let t = Instant::now();\n");
-        assert!(ok.violations.is_empty());
-        // The carve-out covers the perf module only: the rest of the
-        // telemetry crate and the ml shim must go through perf::now.
-        let span = audit_source("crates/telemetry/src/span.rs", "let t = Instant::now();\n");
-        assert_eq!(rules_of(&span), ["wallclock"]);
-        let ml = audit_source("crates/ml/src/instrument.rs", "let t = Instant::now();\n");
-        assert_eq!(rules_of(&ml), ["wallclock"]);
-    }
-
-    #[test]
     fn strings_and_comments_do_not_fire() {
         let ok = audit_source(
             "crates/core/src/x.rs",
-            "// a HashMap would be wrong here\nlet s = \"thread_rng\";\n",
+            "// a bare x.unwrap() would be wrong here\nlet s = \"panic!\";\n",
         );
         assert!(ok.violations.is_empty());
     }
@@ -888,18 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn print_scope() {
-        let bad = audit_source("crates/core/src/x.rs", "println!(\"hi\");\n");
-        assert_eq!(rules_of(&bad), ["print"]);
-        for ok_path in ["crates/telemetry/src/log.rs", "crates/bench/src/lib.rs"] {
-            assert!(audit_source(ok_path, "println!(\"hi\");\n").violations.is_empty());
-        }
-        // Binaries may print: they are the report surface.
-        let bin = audit_source("crates/audit/src/main.rs", "println!(\"hi\");\n");
-        assert!(bin.violations.is_empty());
-    }
-
-    #[test]
     fn ledger_registration_scope() {
         let bad = audit_source(
             "crates/bench/src/lib.rs",
@@ -924,11 +715,5 @@ mod tests {
             "fn c() { let _m = RunManifest::collect(\"x\", config); }\n",
         );
         assert!(!rules_of(&test).contains(&"ledger-registration"), "{:?}", test.violations);
-    }
-
-    #[test]
-    fn unseeded_rng_fires_even_in_tests() {
-        let bad = audit_source("crates/core/tests/t.rs", "let mut r = thread_rng();\n");
-        assert_eq!(rules_of(&bad), ["unseeded-rng"]);
     }
 }

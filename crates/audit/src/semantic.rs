@@ -1,5 +1,5 @@
 //! Semantic rules over the parsed workspace: seed provenance, split
-//! leakage, toolbox parity, panic reachability and Result discards.
+//! leakage, toolbox parity and Result discards.
 //!
 //! Each rule works on the [`CallGraph`] built from every first-party
 //! file, and reuses the `audit:allow(rule, reason)` suppression
@@ -142,7 +142,6 @@ pub fn analyze(model: &WorkspaceModel) -> SemanticOutcome {
     seed_provenance(model, &graph, &mut sink);
     split_leakage(&graph, &mut sink);
     toolbox_parity(model, &graph, &mut sink);
-    panic_reachability(model, &graph, &mut sink);
     result_discard(&graph, &mut sink);
     crate::concurrency::analyze_concurrency(model, &graph, &mut sink);
     crate::purity::analyze_purity(model, &graph, &mut sink);
@@ -528,56 +527,6 @@ fn toolbox_parity(model: &WorkspaceModel, g: &CallGraph, sink: &mut Sink) {
                 );
             }
         }
-    }
-}
-
-// --------------------------------------------------- panic-reachability
-
-fn panic_reachability(model: &WorkspaceModel, g: &CallGraph, sink: &mut Sink) {
-    let allows: BTreeMap<&str, &AllowTable> =
-        model.files.iter().map(|f| (f.path.as_str(), &f.allows)).collect();
-    // Sources: unannotated panic sites in library code.
-    let sources: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| {
-            let n = &g.nodes[i];
-            n.lib_scope()
-                && n.func.panics.iter().any(|p| {
-                    !allows.get(n.file.as_str()).is_some_and(|t| t.allows(p.line, "panic"))
-                })
-        })
-        .collect();
-    if sources.is_empty() {
-        return;
-    }
-    let source_set: BTreeSet<usize> = sources.iter().copied().collect();
-    let reaching = g.reaching(&sources);
-    for (i, n) in g.nodes.iter().enumerate() {
-        if !reaching[i] || !n.lib_scope() || !n.func.is_pub {
-            continue;
-        }
-        // Deterministic representative: the least (file, line) panic
-        // source this API can reach.
-        let fwd = g.reachable_from(&[i]);
-        let rep = source_set
-            .iter()
-            .filter(|&&s| fwd[s])
-            .map(|&s| {
-                let sn = &g.nodes[s];
-                let line = sn.func.panics.iter().map(|p| p.line).min().unwrap_or(sn.func.line);
-                (sn.file.clone(), line)
-            })
-            .min();
-        let Some((sfile, sline)) = rep else { continue };
-        sink.emit(
-            &n.file,
-            n.func.line,
-            "panic-reachability",
-            format!(
-                "public API `{}` can reach an unannotated panic \
-                 ({sfile}:{sline}) through the call graph",
-                n.func.name
-            ),
-        );
     }
 }
 

@@ -107,40 +107,6 @@ fn certify_reports_the_same_fixture_taint() {
     assert_eq!(certs[0].taints.len(), 2, "got {:?}", certs[0].taints);
 }
 
-// ----------------------------------------------------- env-read-confinement
-
-#[test]
-fn env_read_flags_library_code_outside_the_allowlist() {
-    let out = analyze_fixtures(&[("env_read_bad.rs", "crates/repair/src/fixture.rs")]);
-    let hits = of_rule(&out.violations, "env-read-confinement");
-    assert_eq!(hits.len(), 1, "got {:?}", out.violations);
-    assert!(hits[0].message.contains("env::var"), "got {hits:?}");
-}
-
-#[test]
-fn env_read_passes_the_bench_config_layer_and_binaries() {
-    for vpath in ["crates/bench/src/lib.rs", "crates/bench/src/bin/fixture.rs"] {
-        let out = analyze_fixtures(&[("env_read_bad.rs", vpath)]);
-        assert!(
-            of_rule(&out.violations, "env-read-confinement").is_empty(),
-            "{vpath}: {:?}",
-            out.violations
-        );
-    }
-}
-
-#[test]
-fn env_read_suppression_works() {
-    let out = analyze_inline(&[(
-        "crates/repair/src/fixture.rs",
-        "pub fn scale_override() -> usize {\n\
-         // audit:allow(env-read-confinement, read once at startup, documented)\n\
-         std::env::var(\"S\").ok().and_then(|v| v.parse().ok()).unwrap_or(1)\n\
-         }\n",
-    )]);
-    assert!(of_rule(&out.violations, "env-read-confinement").is_empty(), "{:?}", out.violations);
-}
-
 // --------------------------------------------------------- hot-loop-alloc
 
 #[test]
@@ -195,8 +161,7 @@ fn float_reduce_suppression_works() {
 fn stale_allow_reports_annotations_that_suppress_nothing() {
     let report = audit_sources(vec![(
         "crates/core/src/x.rs".to_string(),
-        "// audit:allow(hash-iter, a reason that outlived its finding)\npub fn f() {}\n"
-            .to_string(),
+        "// audit:allow(panic, a reason that outlived its finding)\npub fn f() {}\n".to_string(),
     )]);
     let stale: Vec<_> = report.advisories.iter().filter(|v| v.rule == "stale-allow").collect();
     assert_eq!(stale.len(), 1, "got {:?}", report.advisories);
@@ -208,8 +173,8 @@ fn stale_allow_reports_annotations_that_suppress_nothing() {
 fn stale_allow_stays_quiet_for_consumed_annotations() {
     let report = audit_sources(vec![(
         "crates/core/src/x.rs".to_string(),
-        "// audit:allow(hash-iter, counting only, never iterated)\n\
-         use std::collections::HashMap;\npub fn f() {}\n"
+        "// audit:allow(panic, callers guarantee a non-empty slice)\n\
+         pub fn f(xs: &[u8]) -> u8 { *xs.first().unwrap() }\n"
             .to_string(),
     )]);
     assert!(
@@ -225,7 +190,7 @@ fn stale_allow_is_itself_suppressible() {
     let report = audit_sources(vec![(
         "crates/core/src/x.rs".to_string(),
         "// audit:allow(stale-allow, kept as a template for the next port)\n\
-         // audit:allow(hash-iter, a reason that outlived its finding)\npub fn f() {}\n"
+         // audit:allow(panic, a reason that outlived its finding)\npub fn f() {}\n"
             .to_string(),
     )]);
     assert!(
@@ -239,8 +204,7 @@ fn stale_allow_is_itself_suppressible() {
 fn deny_stale_promotes_the_advisory_to_blocking() {
     let mut report = audit_sources(vec![(
         "crates/core/src/x.rs".to_string(),
-        "// audit:allow(hash-iter, a reason that outlived its finding)\npub fn f() {}\n"
-            .to_string(),
+        "// audit:allow(panic, a reason that outlived its finding)\npub fn f() {}\n".to_string(),
     )]);
     assert!(report.clean());
     report.deny_stale();
@@ -267,7 +231,7 @@ fn extended_report_is_byte_identical_across_runs() {
             ),
             (
                 "crates/core/src/x.rs".to_string(),
-                "// audit:allow(hash-iter, a reason that outlived its finding)\npub fn f() {}\n"
+                "// audit:allow(panic, a reason that outlived its finding)\npub fn f() {}\n"
                     .to_string(),
             ),
         ]

@@ -1,5 +1,5 @@
-//! Companion file for `closure_edge_spawn_bad.rs`: the panic site the
-//! spawn closure reaches across files.
+//! Companion file for `closure_edge_spawn.rs`: the function the spawn
+//! closure reaches across files.
 
 pub fn remote_step(xs: &[u64]) -> u64 {
     if xs.is_empty() {

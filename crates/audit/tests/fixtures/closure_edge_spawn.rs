@@ -1,0 +1,11 @@
+//! Call-graph closure fixture (cross-file): the public API reaches a
+//! function in *another file* only through a `spawn` closure — proving
+//! closure edges resolve across the workspace like any call.
+
+pub fn launch(xs: Vec<u64>) {
+    spawn(move || remote_step(&xs));
+}
+
+fn spawn<F: FnOnce()>(f: F) {
+    f();
+}

@@ -1,6 +1,6 @@
 //! Fixture: forbidden tokens inside comments and strings must not fire.
-//! A doc mention of HashMap or thread_rng is not a use of either.
+//! A doc mention of .unwrap() or panic! is not a use of either.
 pub fn describe() -> &'static str {
-    // HashMap and Instant::now are only named in this comment.
-    "prefer BTreeMap over HashMap; never call thread_rng or panic!"
+    // .expect( and unreachable! are only named in this comment.
+    "prefer ? over .unwrap(); never call panic! or .expect(\"…\")"
 }

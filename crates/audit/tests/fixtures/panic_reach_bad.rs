@@ -1,5 +1,5 @@
 //! Negative fixture: a public API transitively reaches an unannotated
-//! panic in library code.
+//! panic in library code; the `panic` rule blocks it at the site.
 
 fn first_value(values: &[f64]) -> f64 {
     values.first().copied().unwrap()

@@ -119,22 +119,6 @@ fn toolbox_parity_requires_toolbox_registry_imports() {
 }
 
 #[test]
-fn panic_reachability_flags_public_api_over_transitive_panic() {
-    let violations = analyze_assembly(&[("panic_reach_bad.rs", "crates/data/src/fixture.rs")]);
-    let hits = of_rule(&violations, "panic-reachability");
-    assert_eq!(hits.len(), 1, "got {violations:?}");
-    assert!(hits[0].message.contains("normalized_head"), "got {hits:?}");
-    // The finding names the concrete panic site it can reach.
-    assert!(hits[0].message.contains("crates/data/src/fixture.rs:"), "got {hits:?}");
-}
-
-#[test]
-fn panic_reachability_respects_panic_annotations() {
-    let violations = analyze_assembly(&[("panic_reach_ok.rs", "crates/data/src/fixture.rs")]);
-    assert!(of_rule(&violations, "panic-reachability").is_empty(), "got {violations:?}");
-}
-
-#[test]
 fn result_discard_flags_let_underscore_on_first_party_result() {
     let violations = analyze_assembly(&[("result_discard_bad.rs", "crates/core/src/fixture.rs")]);
     let hits = of_rule(&violations, "result-discard");

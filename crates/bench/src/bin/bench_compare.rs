@@ -15,7 +15,7 @@
 //! `--self-test` proves the gate end to end on synthetic data: identical
 //! reports compare clean, and an injected 2× slowdown is flagged at
 //! p < 0.05.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 // audit:allow-file(telemetry-phases, comparator tool over existing reports, not a benchmark run — no phases or manifest to record)
 
 use std::path::PathBuf;

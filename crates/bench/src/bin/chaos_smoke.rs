@@ -23,8 +23,9 @@
 //! serialized cells to `PATH` — CI runs the smoke at `REIN_THREADS=1`
 //! and `REIN_THREADS=4` and asserts the two dumps hash identically.
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+// Benchmark bins emit their report tables on stdout and errors on stderr
+// by design.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use rein_bench::{conclude, dataset, dump_cells, header, install_thread_pool, phase};
 use rein_core::{ChaosSpec, Controller, GuardPolicy};
@@ -43,7 +44,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let spec_text = std::env::var("REIN_CHAOS").unwrap_or_else(|_| DEFAULT_SPEC.to_string());
+    let spec_text = rein_bench::env_var("REIN_CHAOS").unwrap_or_else(|| DEFAULT_SPEC.to_string());
     let chaos = match ChaosSpec::parse(&spec_text) {
         Ok(c) if !c.is_empty() => c,
         Ok(_) => {

@@ -25,8 +25,9 @@
 //! resume failed, or corruption went unrecovered; `7` the quarantine
 //! set differs from the injected corruption.
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+// Benchmark bins emit their report tables on stdout and errors on stderr
+// by design.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::Path;
 use std::process::Command;
@@ -91,7 +92,7 @@ fn child(store: &str, dump: &Path, stats: &Path) -> ! {
     }
     let counters = rein_telemetry::counters_snapshot();
     let json = serde_json::to_string_pretty(&counters).expect("counters serialize");
-    if let Err(e) = std::fs::write(stats, json) {
+    if let Err(e) = rein_telemetry::atomic_write(stats, json.as_bytes()) {
         eprintln!("error: cannot write {}: {e}", stats.display());
         std::process::exit(2);
     }
@@ -169,7 +170,10 @@ fn parent() -> ! {
         Ok(mut bytes) if bytes.len() > 8 => {
             let last = bytes.len() - 1;
             bytes[last] ^= 0xFF;
-            // audit:allow(store-atomic-write, deliberate corruption injection — the whole point is a torn journal)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deliberate corruption injection: the whole point is a torn journal"
+            )]
             if let Err(e) = std::fs::write(&journal, &bytes) {
                 eprintln!("error: cannot corrupt {}: {e}", journal.display());
                 std::process::exit(2);

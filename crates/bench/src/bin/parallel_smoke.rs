@@ -22,8 +22,9 @@
 //! a run degraded cells (the grid must be fault-free under the default
 //! policy), `2` for a bad environment.
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+// Benchmark bins emit their report tables on stdout and errors on stderr
+// by design.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::collections::BTreeMap;
 

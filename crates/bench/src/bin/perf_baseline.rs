@@ -16,7 +16,7 @@
 //!
 //! Without `--out` the report lands at the first free `BENCH_<n>.json`
 //! at the current directory. Compare two baselines with `bench_compare`.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use rein_bench::perf::{next_bench_path, run_perf_suite};
 use rein_telemetry::perf::CountingAllocator;

@@ -29,10 +29,23 @@ pub const DEFAULT_REPEATS: usize = 3;
 /// perf default is higher than [`DEFAULT_REPEATS`].
 pub const DEFAULT_PERF_REPEATS: usize = 7;
 
+/// Reads the environment variable `name`; unset or non-UTF-8 reads as
+/// `None`. Every `REIN_*` override of the bench crate and its binaries
+/// is read through here, so this is the crate's one environment read.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench config layer's one environment read; each value is parsed once and \
+              passed down as a parameter"
+)]
+pub fn env_var(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
 /// Terminates the process over an unusable environment override. A
 /// typo'd `REIN_SCALE=0.5x` silently running the full-size study (or a
 /// tiny one) produces misleading artefacts, so a value that is set but
 /// unparsable is a hard error, never a silent default.
+#[expect(clippy::print_stderr, reason = "a bad environment must fail loudly")]
 fn reject_env(var: &str, raw: &str, want: &str) -> ! {
     eprintln!("error: {var}={raw:?} is invalid: want {want} (unset it to use the default)");
     std::process::exit(2);
@@ -45,9 +58,9 @@ fn reject_env(var: &str, raw: &str, want: &str) -> ! {
 /// every loop iteration.
 pub fn scale() -> f64 {
     static SCALE: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *SCALE.get_or_init(|| match std::env::var("REIN_SCALE") {
-        Err(_) => DEFAULT_SCALE,
-        Ok(raw) => match raw.parse::<f64>() {
+    *SCALE.get_or_init(|| match env_var("REIN_SCALE") {
+        None => DEFAULT_SCALE,
+        Some(raw) => match raw.parse::<f64>() {
             Ok(s) if s > 0.0 && s.is_finite() => s,
             _ => reject_env("REIN_SCALE", &raw, "a positive finite number"),
         },
@@ -60,9 +73,9 @@ pub fn scale() -> f64 {
 /// [`reject_env`]. Parsed once per process, like [`scale`].
 pub fn repeats() -> usize {
     static REPEATS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *REPEATS.get_or_init(|| match std::env::var("REIN_REPEATS") {
-        Err(_) => DEFAULT_REPEATS,
-        Ok(raw) => match raw.parse::<usize>() {
+    *REPEATS.get_or_init(|| match env_var("REIN_REPEATS") {
+        None => DEFAULT_REPEATS,
+        Some(raw) => match raw.parse::<usize>() {
             Ok(r) if r > 0 => r,
             _ => reject_env("REIN_REPEATS", &raw, "a positive integer"),
         },
@@ -77,9 +90,9 @@ pub fn repeats() -> usize {
 /// empty (off); anything else is rejected like the other overrides.
 pub fn progress() -> bool {
     static PROGRESS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PROGRESS.get_or_init(|| match std::env::var("REIN_PROGRESS") {
-        Err(_) => false,
-        Ok(raw) => match raw.as_str() {
+    *PROGRESS.get_or_init(|| match env_var("REIN_PROGRESS") {
+        None => false,
+        Some(raw) => match raw.as_str() {
             "" | "0" | "false" => false,
             "1" | "true" => true,
             _ => reject_env("REIN_PROGRESS", &raw, "1/true to enable or 0/false to disable"),
@@ -90,7 +103,7 @@ pub fn progress() -> bool {
 /// Repeat count for the perf suite: `REIN_REPEATS` when set (validated
 /// like [`repeats`]), otherwise [`DEFAULT_PERF_REPEATS`].
 pub fn perf_repeats() -> usize {
-    if std::env::var_os("REIN_REPEATS").is_some() {
+    if env_var("REIN_REPEATS").is_some() {
         repeats()
     } else {
         DEFAULT_PERF_REPEATS
@@ -105,9 +118,9 @@ pub fn perf_repeats() -> usize {
 /// only readable if the thread axis is recorded honestly.
 pub fn worker_threads() -> u32 {
     static THREADS: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| match std::env::var("REIN_THREADS") {
-        Err(_) => rayon::current_num_threads() as u32,
-        Ok(raw) => match raw.parse::<u32>() {
+    *THREADS.get_or_init(|| match env_var("REIN_THREADS") {
+        None => rayon::current_num_threads() as u32,
+        Some(raw) => match raw.parse::<u32>() {
             Ok(t) if t > 0 => t,
             _ => reject_env("REIN_THREADS", &raw, "a positive integer"),
         },
@@ -142,7 +155,12 @@ const STANDARD_COUNTERS: [&str; 5] =
 /// it wrote so every benchmark run names its artefacts. Failures are
 /// reported on stderr, not panics — a missing manifest must not fail a
 /// benchmark run that already printed its report.
-#[allow(clippy::print_stdout)] // the artifact-path announcement is part of the report surface
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the artifact-path announcement is part of the report surface, and a failed \
+              manifest write is reported, not fatal"
+)]
 pub fn write_run_manifest(binary: &str, seed: u64, label_budget: u64) {
     for name in STANDARD_COUNTERS {
         rein_telemetry::counter(name);
@@ -186,18 +204,13 @@ pub fn dump_cells(
     path: &std::path::Path,
     cells: &std::collections::BTreeMap<String, String>,
 ) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
     let mut out = String::new();
     for (key, bytes) in cells {
         out.push_str(&format!("== {key} ({} bytes)\n", bytes.len()));
         out.push_str(bytes);
         out.push('\n');
     }
-    std::fs::write(path, out)
+    rein_telemetry::atomic_write(path, out.as_bytes())
 }
 
 /// Exit code for a run that completed but degraded at least one grid
@@ -210,19 +223,21 @@ pub const FAILURE_EXIT: i32 = 3;
 /// A set-but-unparsable spec is rejected like any other bad
 /// environment override.
 pub fn guard_policy() -> GuardPolicy {
-    let chaos = match rein_core::ChaosSpec::from_env() {
+    let chaos_text = env_var("REIN_CHAOS").unwrap_or_default();
+    let chaos = match rein_core::ChaosSpec::parse(&chaos_text) {
         Ok(chaos) => chaos,
         Err(e) => reject_env(
             "REIN_CHAOS",
-            &std::env::var("REIN_CHAOS").unwrap_or_default(),
+            &chaos_text,
             &format!("a chaos spec like detect:raha=panic ({e})"),
         ),
     };
-    let crash = match rein_core::CrashSpec::from_env() {
+    let crash_text = env_var("REIN_CRASH").unwrap_or_default();
+    let crash = match rein_core::CrashSpec::parse(&crash_text) {
         Ok(crash) => crash,
         Err(e) => reject_env(
             "REIN_CRASH",
-            &std::env::var("REIN_CRASH").unwrap_or_default(),
+            &crash_text,
             &format!("a crash spec like detect:raha=before ({e})"),
         ),
     };
@@ -237,9 +252,9 @@ pub fn guard_policy() -> GuardPolicy {
 /// store root path directly. Parsed once per process.
 pub fn store_root() -> Option<std::path::PathBuf> {
     static ROOT: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
-    ROOT.get_or_init(|| match std::env::var("REIN_STORE") {
-        Err(_) => None,
-        Ok(raw) => match raw.as_str() {
+    ROOT.get_or_init(|| match env_var("REIN_STORE") {
+        None => None,
+        Some(raw) => match raw.as_str() {
             "" | "0" | "off" => None,
             "1" | "on" => Some(std::path::PathBuf::from("artifacts/store")),
             path => Some(std::path::PathBuf::from(path)),
@@ -255,6 +270,7 @@ pub fn store_root() -> Option<std::path::PathBuf> {
 /// "resumed" run recompute everything while claiming to resume.
 /// Recovery that quarantined corrupt records is reported on stderr
 /// (the store also writes `quarantine/report.json`), never silent.
+#[expect(clippy::print_stderr, reason = "a quarantining recovery is reported, never silent")]
 pub fn open_store() -> Option<std::sync::Arc<rein_store::Store>> {
     static STORE: std::sync::OnceLock<Option<std::sync::Arc<rein_store::Store>>> =
         std::sync::OnceLock::new();

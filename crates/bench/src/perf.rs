@@ -975,7 +975,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p0 = next_bench_path(&dir);
         assert!(p0.ends_with("BENCH_0.json"));
-        std::fs::write(&p0, "{}").unwrap();
+        rein_telemetry::atomic_write(&p0, b"{}").unwrap();
         assert!(next_bench_path(&dir).ends_with("BENCH_1.json"));
         std::fs::remove_file(&p0).unwrap();
     }

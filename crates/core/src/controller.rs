@@ -420,9 +420,9 @@ impl Controller {
     /// `REIN_PROGRESS` heartbeat is on. Only called from the grid's
     /// sequential merge points, so line order is scheduling-invariant;
     /// content is counts and coordinates, never timing or worker ids.
+    #[expect(clippy::print_stderr, reason = "the opt-in REIN_PROGRESS heartbeat")]
     fn emit_progress(&self, line: &str) {
         if self.progress {
-            // audit:allow(print, opt-in REIN_PROGRESS heartbeat; deterministic content, emitted only at sequential merge points)
             eprintln!("[progress] {line}");
         }
     }

@@ -153,6 +153,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "simulates a crashed non-atomic writer")]
     fn store_leaves_no_temp_files_and_survives_torn_target() {
         let dir = std::env::temp_dir().join(format!("rein_repo_torn_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

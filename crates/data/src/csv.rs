@@ -232,11 +232,6 @@ pub fn read_file(path: &std::path::Path) -> std::io::Result<Table> {
     read_bytes(&bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Writes a table to a CSV file on disk.
-pub fn write_file(path: &std::path::Path, table: &Table) -> std::io::Result<()> {
-    std::fs::write(path, write_str(table))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

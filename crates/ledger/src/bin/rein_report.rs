@@ -17,7 +17,7 @@
 //! failure, 2 on usage errors.
 
 // Binaries are the report surface.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -88,12 +88,11 @@ fn run(args: &Args) -> Result<(), String> {
 
     let diff = args.diff.as_ref().map(|(a, b)| (a.as_str(), b.as_str()));
     let report = build_report(&args.root, &index, diff)?;
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("mkdir {}: {e}", out_dir.display()))?;
     let md_path = out_dir.join("report.md");
     let html_path = out_dir.join("report.html");
-    std::fs::write(&md_path, report.to_markdown())
+    rein_telemetry::atomic_write(&md_path, report.to_markdown().as_bytes())
         .map_err(|e| format!("write {}: {e}", md_path.display()))?;
-    std::fs::write(&html_path, report.to_html())
+    rein_telemetry::atomic_write(&html_path, report.to_html().as_bytes())
         .map_err(|e| format!("write {}: {e}", html_path.display()))?;
     println!(
         "report: {} strategies, {} failing cells -> {} + {}",

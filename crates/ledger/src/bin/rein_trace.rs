@@ -24,7 +24,7 @@
 //! parent never appeared — the causal tree is incomplete).
 
 // Binaries are the report surface.
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -480,6 +480,7 @@ fn write_quarantine_report(root: &Path, fresh: &[QuarantineEntry]) -> std::io::R
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "recovery tests tear journal files on purpose")]
 mod tests {
     use super::*;
 

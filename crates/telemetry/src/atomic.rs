@@ -25,6 +25,10 @@ use std::path::Path;
 /// Atomically and durably replaces `path` with `bytes`. A crash at any
 /// point leaves either the old content or the new content — never a
 /// torn or empty file surviving the next mount.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the atomic writer's own temp file, fsynced and renamed into place"
+)]
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),

@@ -33,13 +33,17 @@ fn parse(value: &str) -> Option<Level> {
 }
 
 /// The effective level: `REIN_LOG` if set and valid, else `info`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "REIN_LOG only selects log verbosity in the observer layer; it cannot reach a \
+              computed result"
+)]
 pub fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Level::Off,
         1 => Level::Info,
         2 => Level::Debug,
         _ => {
-            // audit:allow(env-read-confinement, REIN_LOG only selects log verbosity in the observer layer; it cannot reach a computed result)
             let from_env = std::env::var("REIN_LOG");
             let resolved = match &from_env {
                 Ok(raw) => parse(raw),
@@ -79,6 +83,7 @@ pub fn enabled(at: Level) -> bool {
 
 /// Writes one event line to stderr. Callers should gate on [`enabled`]
 /// (the macros do) so formatting is skipped when the level is off.
+#[expect(clippy::print_stderr, reason = "the log emitter is library code's one stderr sink")]
 pub fn emit(at: Level, message: &str) {
     let tag = match at {
         Level::Off => return,

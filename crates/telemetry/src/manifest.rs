@@ -61,15 +61,19 @@ impl ManifestMode {
 /// Reads `REIN_MANIFEST` (default [`ManifestMode::Full`]). A value that
 /// is set but neither `full` nor `summary` is a hard error, never a
 /// silent default — consistent with the other environment overrides.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::print_stderr,
+    reason = "REIN_MANIFEST only chooses how much the run manifest records (observer output, \
+              never an input), and a bad value must fail loudly before any telemetry exists"
+)]
 pub fn manifest_mode() -> ManifestMode {
-    // audit:allow(env-read-confinement, REIN_MANIFEST only chooses how much the run manifest records; the manifest is observer output, never an input)
     match std::env::var("REIN_MANIFEST") {
         Err(_) => ManifestMode::Full,
         Ok(raw) => match raw.as_str() {
             "full" => ManifestMode::Full,
             "summary" => ManifestMode::Summary,
             _ => {
-                // audit:allow(print, a bad environment must fail loudly before any telemetry exists)
                 eprintln!(
                     "error: REIN_MANIFEST={raw:?} is invalid: want `full` or `summary` \
                      (unset it to keep full span streams)"

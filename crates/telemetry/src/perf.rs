@@ -1,10 +1,12 @@
 //! Performance primitives: the one sanctioned wall-clock source, an
 //! optional counting global allocator, and a span-tree profiler.
 //!
-//! The audit's `wallclock` rule bans `Instant::now`/`SystemTime`
-//! everywhere except this file — every other module (including the rest
-//! of `rein-telemetry`) obtains time through [`now`] or [`Stopwatch`],
-//! so wall-clock reads stay quarantined in one reviewable place.
+//! The workspace `clippy.toml` bans `Instant::now`/`SystemTime` in
+//! every first-party crate; [`now`] carries the one
+//! `#[expect(clippy::disallowed_methods)]`, so every other module
+//! (including the rest of `rein-telemetry`) obtains time through [`now`]
+//! or [`Stopwatch`], and wall-clock reads stay quarantined in one
+//! reviewable place.
 //!
 //! Three pieces:
 //!
@@ -35,6 +37,7 @@ use crate::span::SpanRecord;
 /// The sanctioned monotonic-clock read. All timing in the workspace
 /// flows through here (or [`Stopwatch`], which calls it).
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned wall-clock read")]
 pub fn now() -> Instant {
     Instant::now()
 }

@@ -15,11 +15,10 @@
 //!
 //! Finished spans accumulate in a process-global *sharded* sink: each
 //! worker thread appends to its own buffer (round-robin shard
-//! assignment on first use, `REIN_SPAN_SHARDS` buffers, default one per
-//! core), so parallel stages never contend on one list lock. Snapshots
-//! merge the shards deterministically — ordered by the global close
-//! epoch each record was stamped with, tie-broken by span path and
-//! per-shard sequence — so the merged stream is byte-identical no
+//! assignment on first use, one buffer per core), so parallel stages
+//! never contend on one list lock. Snapshots merge the shards
+//! deterministically — ordered by the global close epoch each record
+//! was stamped with, tie-broken by span path and per-shard sequence — so the merged stream is byte-identical no
 //! matter how many shards the records were scattered across, and a
 //! one-shard sink reproduces the historical single-stream completion
 //! order exactly.
@@ -214,26 +213,9 @@ pub(crate) fn merge_shards(shards: Vec<Vec<ShardEntry>>) -> Vec<SpanRecord> {
     merge_entries(shards).into_iter().map(|(_, r)| r).collect()
 }
 
-/// Shard count for the global sink: `REIN_SPAN_SHARDS` when set,
-/// otherwise one buffer per available core. A value that is set but not
-/// a positive integer is a hard error, never a silent default —
-/// consistent with the bench crate's environment handling.
+/// Shard count for the global sink: one buffer per available core.
 fn span_shards() -> usize {
-    // audit:allow(env-read-confinement, REIN_SPAN_SHARDS only sizes the span sink's buffer pool; shards are merged deterministically before any report)
-    match std::env::var("REIN_SPAN_SHARDS") {
-        Err(_) => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                // audit:allow(print, a bad environment must fail loudly before any telemetry exists)
-                eprintln!(
-                    "error: REIN_SPAN_SHARDS={raw:?} is invalid: want a positive \
-                     integer (unset it to use one shard per core)"
-                );
-                std::process::exit(2);
-            }
-        },
-    }
+    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
 fn sink() -> &'static SpanSink {
@@ -260,8 +242,7 @@ fn worker_shard() -> usize {
     })
 }
 
-/// Shard count of the process-global span sink (`REIN_SPAN_SHARDS`,
-/// default one per core). Exposed so manifests and tests can echo the
+/// Shard count of the process-global span sink (one per core). Exposed so manifests and tests can echo the
 /// effective collection configuration.
 pub fn span_shard_count() -> usize {
     sink().shard_count()

@@ -7,7 +7,7 @@
 //! the owning cell's `CellKey` identity. Because a cell executes
 //! sequentially on one worker, the relative order of its records in the
 //! merged stream is scheduling-invariant, so the reconstructed trees
-//! are identical at any `REIN_THREADS` or `REIN_SPAN_SHARDS` setting.
+//! are identical at any `REIN_THREADS` setting or sink shard count.
 //!
 //! Three canonical exports are derived from the forest, all
 //! byte-stable across double runs *and* across thread/shard counts:

@@ -6,6 +6,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# Lints run before the test suites: the determinism bans in clippy.toml
+# (wall clock, hash containers, env reads, raw writes) fail in seconds.
+echo "==> cargo fmt --check"
+cargo fmt --check
+
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
+
 # The root package is not a virtual workspace, so a bare `cargo test`
 # only tests the root `rein` crate; `--workspace` covers every crate.
 echo "==> cargo test --workspace -q (REIN_THREADS=1)"
@@ -103,11 +111,5 @@ if ! grep -q '"kind": "trace_export"' artifacts/ledger/index.json; then
   echo "ledger index carries no trace_export entries after rein_trace"
   exit 1
 fi
-
-echo "==> cargo fmt --check"
-cargo fmt --check
-
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI checks passed."
